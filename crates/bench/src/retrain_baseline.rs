@@ -101,10 +101,13 @@ impl CaseVisitor for RetrainVisitor<'_> {
         B::Input: Sync + Clone,
     {
         let cfg = self.cfg;
+        // Per process and thread, so concurrent runs (parallel tests)
+        // never share or delete each other's directory.
         let dir = std::env::temp_dir().join(format!(
-            "intune-bench-retrain-{}-{}",
+            "intune-bench-retrain-{}-{}-{:?}",
             case.name(),
-            std::process::id()
+            std::process::id(),
+            std::thread::current().id()
         ));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("bench temp dir");

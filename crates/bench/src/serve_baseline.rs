@@ -248,8 +248,13 @@ mod tests {
             rounds: 2,
             threads: 1,
             probe_every: 1,
-            artifact_dir: std::env::temp_dir()
-                .join(format!("intune-serve-bench-{}", std::process::id())),
+            // Per test thread: parallel tests must not share (and
+            // delete) one directory.
+            artifact_dir: std::env::temp_dir().join(format!(
+                "intune-serve-bench-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            )),
         }
     }
 

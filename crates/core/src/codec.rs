@@ -18,6 +18,11 @@
 //! insertion-ordered) serialization of `payload`, which the `serde_json`
 //! shim guarantees is a fixed point of parse → print. Any failure surfaces
 //! as a typed [`Error::Artifact`].
+//!
+//! Framed records ([`encode_record`]) store that canonical print itself
+//! as the payload bytes, so [`scan_records`] verifies the checksum over
+//! the stored bytes and parses only the payload; a body in any other
+//! layout is read through [`decode_document`].
 
 use crate::error::{Error, Result};
 use serde_json::Value;
@@ -39,7 +44,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// canonical payload, so formatting is free to stay readable).
 pub fn encode_document(schema: &str, version: u32, payload: Value) -> String {
     let canonical = serde_json::to_string(&payload).expect("value printing is infallible");
-    let checksum = format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes()));
+    let checksum = format!("fnv1a64:{}", checksum_digits(canonical.as_bytes()));
     let doc = Value::Object(vec![
         ("schema".to_string(), Value::String(schema.to_string())),
         ("version".to_string(), Value::UInt(version as u64)),
@@ -155,7 +160,7 @@ fn decode_envelope(
         .get("payload")
         .ok_or_else(|| Error::artifact("document lacks a `payload` field"))?;
     let canonical = serde_json::to_string(payload).expect("value printing is infallible");
-    let expected = format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes()));
+    let expected = format!("fnv1a64:{}", checksum_digits(canonical.as_bytes()));
     if checksum != expected {
         return Err(Error::artifact(format!(
             "checksum mismatch: document says {checksum}, payload hashes to {expected}"
@@ -176,9 +181,27 @@ fn decode_envelope(
     }
 }
 
+/// The 16 lowercase hex digits of the FNV-1a checksum of `canonical`,
+/// as every envelope spells them after `fnv1a64:`.
+fn checksum_digits(canonical: &[u8]) -> String {
+    format!("{:016x}", fnv1a64(canonical))
+}
+
 /// Upper bound on one framed record's body; larger length prefixes are
 /// treated as corruption, not allocation requests.
 pub const MAX_RECORD_BYTES: usize = 16 << 20;
+
+/// The text of a record body up to its checksum digits:
+/// `{"schema":…,"version":…,"checksum":"fnv1a64:`, exactly as the
+/// compact print of the envelope spells it.
+fn record_head(schema: &str, version: u32) -> String {
+    let schema = serde_json::to_string(schema).expect("value printing is infallible");
+    format!("{{\"schema\":{schema},\"version\":{version},\"checksum\":\"fnv1a64:")
+}
+
+/// The text of a record body between the checksum digits and the
+/// payload.
+const RECORD_PAYLOAD_KEY: &str = "\",\"payload\":";
 
 /// Encodes one **framed record**: a 4-byte big-endian length prefix
 /// followed by the *compact* checksummed envelope (same fields as
@@ -187,6 +210,9 @@ pub const MAX_RECORD_BYTES: usize = 16 << 20;
 /// request journal appends per served selection; [`scan_records`] walks a
 /// stream of them back, surviving a torn tail.
 ///
+/// The payload is printed once: those canonical bytes are hashed and
+/// then stored verbatim between the envelope's head and its closing `}`.
+///
 /// # Errors
 /// Returns [`Error::Artifact`] when the encoded body exceeds
 /// [`MAX_RECORD_BYTES`] — payload sizes are caller-controlled (a wire
@@ -194,25 +220,37 @@ pub const MAX_RECORD_BYTES: usize = 16 << 20;
 /// must be a typed error the writer can drop, never a panic.
 pub fn encode_record(schema: &str, version: u32, payload: Value) -> Result<Vec<u8>> {
     let canonical = serde_json::to_string(&payload).expect("value printing is infallible");
-    let checksum = format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes()));
-    let doc = Value::Object(vec![
-        ("schema".to_string(), Value::String(schema.to_string())),
-        ("version".to_string(), Value::UInt(version as u64)),
-        ("checksum".to_string(), Value::String(checksum)),
-        ("payload".to_string(), payload),
-    ]);
-    let text = serde_json::to_string(&doc).expect("value printing is infallible");
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_RECORD_BYTES {
+    let head = record_head(schema, version);
+    let digits = checksum_digits(canonical.as_bytes());
+    let len = head.len() + digits.len() + RECORD_PAYLOAD_KEY.len() + canonical.len() + 1;
+    if len > MAX_RECORD_BYTES {
         return Err(Error::artifact(format!(
-            "record body of {} bytes exceeds the {MAX_RECORD_BYTES}-byte frame cap",
-            bytes.len()
+            "record body of {len} bytes exceeds the {MAX_RECORD_BYTES}-byte frame cap"
         )));
     }
-    let mut out = Vec::with_capacity(4 + bytes.len());
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(bytes);
+    let mut out = Vec::with_capacity(4 + len);
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+    for part in [&head, &digits, RECORD_PAYLOAD_KEY, &canonical, "}"] {
+        out.extend_from_slice(part.as_bytes());
+    }
     Ok(out)
+}
+
+/// Reads a body in exactly the layout [`encode_record`] writes (`head`
+/// is [`record_head`] for the expected schema and version) whose stored
+/// payload bytes hash to its checksum, parsing only the payload. `None`
+/// for any other body: the caller then reads it with
+/// [`decode_document`], which accepts or rejects it on its own terms.
+fn decode_record_body(text: &str, head: &str) -> Option<Value> {
+    let rest = text.strip_prefix(head)?;
+    let digits = rest.get(..16)?;
+    let payload = rest[16..]
+        .strip_prefix(RECORD_PAYLOAD_KEY)?
+        .strip_suffix('}')?;
+    if digits != checksum_digits(payload.as_bytes()) {
+        return None;
+    }
+    serde_json::from_str(payload).ok()
 }
 
 /// Outcome of scanning a stream of framed records that may end in a torn
@@ -234,7 +272,23 @@ pub struct RecordScan {
 /// — never a panic, whatever the truncation offset. Scanning stops at the
 /// first incomplete or corrupt frame: everything after an interrupted
 /// append is untrusted.
+///
+/// A body in the layout [`encode_record`] writes is checked against its
+/// checksum over the stored payload bytes, and only the payload is
+/// parsed. Every other body, and every body whose stored bytes do not
+/// hash to its checksum, is read by [`decode_document`], so the verdict
+/// on it is that function's.
 pub fn scan_records(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
+    let head = record_head(schema, version);
+    scan_frames(bytes, |text| match decode_record_body(text, &head) {
+        Some(payload) => Ok(payload),
+        None => decode_document(text, schema, version),
+    })
+}
+
+/// The frame walk of [`scan_records`], reading each complete UTF-8 body
+/// with `decode`.
+fn scan_frames(bytes: &[u8], decode: impl Fn(&str) -> Result<Value>) -> RecordScan {
     let mut records = Vec::new();
     let mut at = 0usize;
     let torn = loop {
@@ -269,7 +323,7 @@ pub fn scan_records(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
                 )))
             }
         };
-        match decode_document(text, schema, version) {
+        match decode(text) {
             Ok(payload) => records.push(payload),
             Err(e) => break Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
         }
@@ -528,6 +582,160 @@ mod tests {
         let scan = scan_records(&huge, "rec", 1);
         assert!(scan.records.is_empty());
         assert!(scan.torn.expect("typed").to_string().contains("cap"));
+    }
+
+    /// Payloads that exercise every printing rule: string escapes,
+    /// non-ASCII text, floats, integers at both ends, nulls, nested and
+    /// empty containers.
+    fn tricky_payloads() -> Vec<Value> {
+        vec![
+            Value::Object(vec![
+                (
+                    "s".to_string(),
+                    Value::String("q\"w\\e\n\r\t\u{08}\u{0c}\u{01}/".into()),
+                ),
+                ("héllo ✓".to_string(), Value::String("naïve 😀 日本".into())),
+                (
+                    "floats".to_string(),
+                    Value::Array(vec![
+                        Value::Float(0.1),
+                        Value::Float(2.0),
+                        Value::Float(-1e300),
+                        Value::Float(1e-7),
+                        Value::Float(f64::MAX),
+                        Value::Float(-0.0),
+                    ]),
+                ),
+                (
+                    "ints".to_string(),
+                    Value::Array(vec![
+                        Value::Int(i64::MIN),
+                        Value::Int(0),
+                        Value::UInt(u64::MAX),
+                    ]),
+                ),
+            ]),
+            Value::Array(vec![
+                Value::Null,
+                Value::Array(vec![
+                    Value::Int(1),
+                    Value::Array(vec![Value::Null, Value::Array(vec![])]),
+                ]),
+                Value::Object(vec![]),
+                Value::Bool(true),
+            ]),
+            Value::Null,
+            Value::String(String::new()),
+        ]
+    }
+
+    /// A frame as `encode_record` wrote it when it built the whole
+    /// envelope as a `Value` and printed it compactly.
+    fn envelope_frame(schema: &str, version: u32, payload: &Value) -> Vec<u8> {
+        let canonical = serde_json::to_string(payload).unwrap();
+        let checksum = format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes()));
+        let doc = Value::Object(vec![
+            ("schema".to_string(), Value::String(schema.to_string())),
+            ("version".to_string(), Value::UInt(version as u64)),
+            ("checksum".to_string(), Value::String(checksum)),
+            ("payload".to_string(), payload.clone()),
+        ]);
+        frame(&serde_json::to_string(&doc).unwrap())
+    }
+
+    fn frame(body: &str) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(body.as_bytes());
+        out
+    }
+
+    #[test]
+    fn record_bytes_match_the_compact_envelope_print() {
+        for (schema, version) in [
+            ("rec", 1),
+            ("intune-request-journal", 0),
+            ("q\"s\\", u32::MAX),
+        ] {
+            let head = record_head(schema, version);
+            for payload in tricky_payloads() {
+                let got = encode_record(schema, version, payload.clone()).unwrap();
+                assert_eq!(
+                    got,
+                    envelope_frame(schema, version, &payload),
+                    "{schema} v{version}: {payload:?}"
+                );
+                // The reader's own layout check recognizes every record
+                // the writer produces.
+                let body = std::str::from_utf8(&got[4..]).unwrap();
+                assert_eq!(decode_record_body(body, &head), Some(payload));
+            }
+        }
+    }
+
+    /// [`scan_records`] as it was before it read bodies in the writer's
+    /// layout itself: every body through [`decode_document`].
+    fn reference_scan(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
+        scan_frames(bytes, |text| decode_document(text, schema, version))
+    }
+
+    fn assert_same_scan(bytes: &[u8], what: &str) {
+        let got = scan_records(bytes, "rec", 2);
+        let want = reference_scan(bytes, "rec", 2);
+        assert_eq!(got.records, want.records, "{what}");
+        assert_eq!(got.consumed, want.consumed, "{what}");
+        assert_eq!(
+            got.torn.map(|e| e.to_string()),
+            want.torn.map(|e| e.to_string()),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn scan_agrees_with_the_full_decode_under_bit_flips_and_truncation() {
+        let mut stream = Vec::new();
+        for payload in tricky_payloads().into_iter().take(3) {
+            stream.extend(encode_record("rec", 2, payload).unwrap());
+        }
+        let intact = scan_records(&stream, "rec", 2);
+        assert_eq!(intact.records.len(), 3);
+        assert!(intact.torn.is_none());
+        assert_same_scan(&stream, "intact");
+        for at in 0..stream.len() {
+            for bit in 0..8 {
+                let mut flipped = stream.clone();
+                flipped[at] ^= 1 << bit;
+                assert_same_scan(&flipped, &format!("bit {bit} of byte {at} flipped"));
+            }
+        }
+        for cut in 0..stream.len() {
+            assert_same_scan(&stream[..cut], &format!("cut at {cut}"));
+        }
+    }
+
+    #[test]
+    fn checksum_valid_bodies_in_other_layouts_still_load() {
+        let payload = tricky_payloads().remove(0);
+        let head = record_head("rec", 2);
+        let canonical = serde_json::to_string(&payload).unwrap();
+        let checksum = Value::String(format!("fnv1a64:{}", checksum_digits(canonical.as_bytes())));
+        let reordered = serde_json::to_string(&Value::Object(vec![
+            ("payload".to_string(), payload.clone()),
+            ("checksum".to_string(), checksum),
+            ("version".to_string(), Value::UInt(2)),
+            ("schema".to_string(), Value::String("rec".into())),
+        ]))
+        .unwrap();
+        let pretty = encode_document("rec", 2, payload.clone());
+        for body in [pretty, reordered] {
+            assert_eq!(
+                decode_record_body(&body, &head),
+                None,
+                "not the writer's layout"
+            );
+            let scan = scan_records(&frame(&body), "rec", 2);
+            assert!(scan.torn.is_none(), "{:?}", scan.torn);
+            assert_eq!(scan.records, vec![payload.clone()]);
+        }
     }
 
     #[test]

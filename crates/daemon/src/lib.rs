@@ -652,6 +652,51 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_journal_drops_when_the_journal_cannot_be_written() {
+        use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use std::sync::Arc;
+
+        let dir = std::env::temp_dir().join(format!(
+            "intune-daemon-journal-drop-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        // Two records fill a segment, so the next append must rotate to
+        // a new file in `dir`.
+        let journal = JournalOptions {
+            segment_max_records: 2,
+            ..JournalOptions::default()
+        };
+        let sink = Arc::new(JournalSink::open(&dir, journal).unwrap());
+        let opts = DaemonOptions {
+            trace: Some(sink.clone() as Arc<dyn TraceSink>),
+            ..DaemonOptions::default()
+        };
+        let (handle, client) = start(opts);
+
+        let batch: Vec<FeatureVector> = (0..2).map(|i| vector(i as f64)).collect();
+        client.select_batch(&batch).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.journaled, stats.journal_dropped), (2, 0));
+
+        // Take the directory away: the rotation cannot create its
+        // segment, so every record of the next batch is dropped — and
+        // serving carries on.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let three: Vec<FeatureVector> = (0..3).map(|i| vector(i as f64)).collect();
+        assert_eq!(client.select_batch(&three).unwrap().len(), 3);
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.journaled, stats.journal_dropped), (2, 3));
+        assert_eq!(stats.journal_dropped, sink.dropped());
+        assert!(sink.last_error().is_some());
+
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn daemon_records_wire_traffic_that_replays_with_zero_divergence() {
         use intune_datalog::{
             divergence, load_recording, replay, FrameBody, RecorderSink, RecordingOptions,

@@ -235,6 +235,10 @@ pub struct DaemonStats {
     /// Selections durably appended to this tenant's request journal
     /// since startup (0 when the tenant runs without a journal).
     pub journaled: u64,
+    /// Selections the request journal **dropped** (encode failure or a
+    /// failed write) since startup — nonzero means the journal misses
+    /// served traffic (0 without a journal).
+    pub journal_dropped: u64,
     /// Request frames captured into this tenant's wire recording since
     /// startup (0 when the tenant runs without a recorder).
     pub recorded: u64,

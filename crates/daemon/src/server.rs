@@ -1774,6 +1774,11 @@ fn snapshot(shared: &Shared, tenant: &Tenant) -> DaemonStats {
             .as_ref()
             .map(|sink| sink.appended())
             .unwrap_or(0),
+        journal_dropped: tenant
+            .trace
+            .as_ref()
+            .map(|sink| sink.dropped())
+            .unwrap_or(0),
         recorded: tenant
             .recorder
             .as_ref()

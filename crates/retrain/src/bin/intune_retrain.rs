@@ -395,6 +395,7 @@ fn run_stats(args: &Args) -> i32 {
             println!("promotions {}", stats.promotions);
             println!("shadow_rejections {}", stats.shadow_rejections);
             println!("journaled {}", stats.journaled);
+            println!("journal_dropped {}", stats.journal_dropped);
             println!("recorded {}", stats.recorded);
             println!("recorded_dropped {}", stats.recorded_dropped);
             println!("requests {}", stats.primary.requests);

@@ -405,11 +405,6 @@ impl JournalSink {
         })
     }
 
-    /// Records dropped because the journal could not be written.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Acquire)
-    }
-
     /// The most recent append failure, if any.
     pub fn last_error(&self) -> Option<Error> {
         self.last_error
@@ -494,6 +489,11 @@ impl TraceSink for JournalSink {
 
     fn appended(&self) -> u64 {
         self.appended.load(Ordering::Acquire)
+    }
+
+    /// Records dropped because the journal could not be written.
+    fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Acquire)
     }
 }
 

@@ -58,6 +58,12 @@ pub trait TraceSink: Send + Sync {
     fn appended(&self) -> u64 {
         0
     }
+
+    /// Total records this sink failed to record (0 for sinks that
+    /// cannot fail). Surfaces in daemon `Stats` as `journal_dropped`.
+    fn dropped(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]
