@@ -24,10 +24,10 @@
 //! against the same artifact, and the transcripts are compared byte-wise
 //! — `"diverged": 0` is the document's load-bearing (CI-asserted) figure.
 //!
-//! Daemon worker count follows `INTUNE_THREADS` (hardened parse;
-//! default 1). The committed baselines use 256 clients × 8 batches
-//! spread over the sort2 + binpacking tenants (daemon) and 4 clients ×
-//! 8 traced batches of the sort2 micro corpus (retrain).
+//! The daemon serves every request inline on its event-loop thread. The
+//! committed baselines use 256 clients × 8 batches spread over the
+//! sort2 + binpacking tenants (daemon) and 4 clients × 8 traced batches
+//! of the sort2 micro corpus (retrain).
 
 use intune_bench::{
     daemon_baseline, daemon_baseline_json, micro_config, replay_baseline, replay_baseline_json,
@@ -56,7 +56,6 @@ fn main() {
         eprintln!("error: --journal and --replay are mutually exclusive");
         std::process::exit(2);
     }
-    let threads = intune_exec::threads_from_env_or_exit(1);
 
     if wire_replay {
         let out_path = out_path.unwrap_or_else(|| "BENCH_replay.json".to_string());
@@ -65,12 +64,10 @@ fn main() {
             case: TestCase::Sort2,
             clients: 4,
             batches_per_client: 8,
-            threads,
         };
         eprintln!(
-            "record/replay round trip: {} x {} batches of {} vectors \
-             ({} daemon workers)...",
-            cfg.clients, cfg.batches_per_client, cfg.suite.test, cfg.threads
+            "record/replay round trip: {} x {} batches of {} vectors...",
+            cfg.clients, cfg.batches_per_client, cfg.suite.test
         );
         let result = replay_baseline(&cfg);
         let json = replay_baseline_json(&cfg, &result);
@@ -94,12 +91,10 @@ fn main() {
             case: TestCase::Sort2,
             clients: 4,
             batches_per_client: 8,
-            threads,
         };
         eprintln!(
-            "continuous-learning load test: {} x {} traced batches of {} vectors \
-             ({} daemon workers)...",
-            cfg.clients, cfg.batches_per_client, cfg.suite.test, cfg.threads
+            "continuous-learning load test: {} x {} traced batches of {} vectors...",
+            cfg.clients, cfg.batches_per_client, cfg.suite.test
         );
         let result = retrain_baseline(&cfg);
         let json = retrain_baseline_json(&cfg, &result);
@@ -121,19 +116,16 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(8),
-        threads,
     };
     eprintln!(
-        "daemon load test: {} clients over {} tenants x {} batches of {} vectors \
-         ({} daemon workers)...",
+        "daemon load test: {} clients over {} tenants x {} batches of {} vectors...",
         cfg.clients,
         cfg.cases.len(),
         cfg.batches_per_client,
-        cfg.suite.test,
-        cfg.threads
+        cfg.suite.test
     );
     let result = daemon_baseline(&cfg);
-    let json = daemon_baseline_json(&cfg, &result);
+    let json = daemon_baseline_json(&result);
     std::fs::write(&out_path, &json).expect("write baseline json");
     print!("{json}");
     eprintln!("wrote {out_path}");

@@ -6,8 +6,7 @@
 //! cargo run --release -p intune_bench --bin serve_bench [-- OUT.json]
 //! ```
 //!
-//! Worker count follows `INTUNE_THREADS` (default 1 — selection is
-//! feature-extraction bound at micro scale). Throughput numbers are
+//! Selection runs on the calling thread. Throughput numbers are
 //! environment-dependent; selection counts and drift counters are
 //! deterministic for a given scale.
 
@@ -18,13 +17,9 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    // Hardened env parse: a garbage INTUNE_THREADS aborts instead of
-    // silently benchmarking on one worker.
-    let threads = intune_exec::threads_from_env_or_exit(1);
     let cfg = ServeBenchConfig {
         suite: micro_config(),
         rounds: 64,
-        threads,
         // Production-representative drift-probe cadence: 1-in-16
         // requests pay the full-vector extraction + centroid distance.
         // Probing never changes the served landmark, so throughput is
@@ -35,14 +30,13 @@ fn main() {
             .join(format!("intune-serve-bench-{}", std::process::id())),
     };
     eprintln!(
-        "serving {} cases at micro scale ({} rounds x {} inputs, {} worker threads)...",
+        "serving {} cases at micro scale ({} rounds x {} inputs)...",
         TestCase::all().len(),
         cfg.rounds,
-        cfg.suite.test,
-        cfg.threads
+        cfg.suite.test
     );
     let cases = serve_baseline(&cfg, &TestCase::all());
-    let json = serve_baseline_json(cfg.threads, cfg.probe_every, &cases);
+    let json = serve_baseline_json(cfg.probe_every, &cases);
     std::fs::write(&out_path, &json).expect("write baseline json");
     print!("{json}");
     eprintln!("wrote {out_path}");

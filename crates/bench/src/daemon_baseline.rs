@@ -44,8 +44,6 @@ pub struct DaemonBenchConfig {
     pub clients: usize,
     /// `SelectBatch` requests per client.
     pub batches_per_client: usize,
-    /// Daemon-side selection worker threads.
-    pub threads: usize,
 }
 
 /// Frame round-trip latency distribution over every recorded sample.
@@ -112,8 +110,9 @@ pub struct TenantBenchResult {
     pub promoted_revision: u64,
 }
 
-/// The tracing-overhead phase: the same load replayed against a second
-/// daemon that head-samples 1-in-64 requests into a span log. Wall-clock
+/// The tracing-overhead phase: the same load, with the same shadows
+/// staged, replayed against a second daemon that differs only in
+/// head-sampling 1-in-64 requests into a span log. Wall-clock
 /// figures are environment-dependent; `spans_recorded` is deterministic
 /// (the sampler admits the first request and every 64th thereafter, and
 /// each sampled request records a fixed set of spans).
@@ -187,75 +186,59 @@ impl CaseVisitor for ExportVisitor {
 pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     assert!(!cfg.cases.is_empty(), "at least one tenant case");
     let engine = Engine::serial();
-    let mut specs = Vec::with_capacity(cfg.cases.len());
+    let mut artifacts = Vec::with_capacity(cfg.cases.len());
     let mut shadows = Vec::with_capacity(cfg.cases.len());
     let mut tenant_features: Vec<Vec<FeatureVector>> = Vec::with_capacity(cfg.cases.len());
     // `Benchmark::name()` keys tenants, not the case name: e.g. the
     // `sort2` case serves benchmark `sort`.
     let mut tenant_names: Vec<String> = Vec::with_capacity(cfg.cases.len());
-    // Artifacts for the traced re-run daemon, cloned before the specs
-    // consume them.
-    let mut traced_specs = Vec::with_capacity(cfg.cases.len());
     for case in &cfg.cases {
         let (artifact, features) =
             visit_case(*case, &cfg.suite, &engine, &mut ExportVisitor).expect("training failed");
         shadows.push(artifact.clone().with_revision(2));
         tenant_names.push(artifact.benchmark.clone());
-        traced_specs.push(TenantSpec {
-            artifact: artifact.clone(),
-            trace: None,
-            recorder: None,
-            trace_sample: None,
-        });
-        specs.push(TenantSpec {
-            artifact,
-            trace: None,
-            recorder: None,
-            trace_sample: None,
-        });
+        artifacts.push(artifact);
         tenant_features.push(features);
     }
+    // One daemon per phase, each serving the same artifacts.
+    let specs = || -> Vec<TenantSpec> {
+        artifacts
+            .iter()
+            .map(|artifact| TenantSpec {
+                artifact: artifact.clone(),
+                trace: None,
+                recorder: None,
+                trace_sample: None,
+            })
+            .collect()
+    };
 
-    let daemon = Daemon::bind_tenants(
-        specs,
-        DaemonOptions {
-            serve: ServeOptions {
-                threads: cfg.threads,
-                // Never strictly exceeded: the fallback policy stays off.
-                drift_threshold: 1.0,
-                ..ServeOptions::default()
-            },
-            // Shadows mirror the same deterministic traffic; their
-            // monitors are pinned off too so the agreement record (not a
-            // drift trip) decides each promote.
-            shadow_serve: ServeOptions {
-                threads: cfg.threads,
-                drift_threshold: 1.0,
-                ..ServeOptions::default()
-            },
-            shadow: ShadowPolicy {
-                min_mirrored: 1,
-                min_agreement: 0.99,
-            },
-            trace: None,
-            inject_faults: false,
-            ..DaemonOptions::default()
+    let opts = DaemonOptions {
+        serve: ServeOptions {
+            // Never strictly exceeded: the fallback policy stays off.
+            drift_threshold: 1.0,
+            ..ServeOptions::default()
         },
-        &ListenConfig::default(),
-    )
-    .expect("daemon bind failed");
+        // Shadows mirror the same deterministic traffic; their monitors
+        // are pinned off too so the agreement record (not a drift trip)
+        // decides each promote.
+        shadow_serve: ServeOptions {
+            drift_threshold: 1.0,
+            ..ServeOptions::default()
+        },
+        shadow: ShadowPolicy {
+            min_mirrored: 1,
+            min_agreement: 0.99,
+        },
+        trace: None,
+        inject_faults: false,
+        ..DaemonOptions::default()
+    };
+    let daemon = Daemon::bind_tenants(specs(), opts.clone(), &ListenConfig::default())
+        .expect("daemon bind failed");
     let addr = daemon.tcp_addr().to_string();
     let handle = daemon.spawn();
-
-    // One control client per tenant; stage every shadow before any
-    // traffic so every request is mirrored.
-    let controls: Vec<DaemonClient> = tenant_names
-        .iter()
-        .map(|name| DaemonClient::connect_to(&addr, name).expect("control client"))
-        .collect();
-    for (control, shadow) in controls.iter().zip(&shadows) {
-        control.load_artifact(shadow).expect("stage shadow");
-    }
+    let controls = stage_shadows(&addr, &tenant_names, &shadows);
 
     let latency = Histogram::new();
     let wall = hammer(&addr, cfg, &tenant_names, &tenant_features, &latency);
@@ -292,8 +275,8 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     handle.join().expect("daemon exit");
 
     // Tracing-overhead phase: the identical load against a fresh daemon
-    // that head-samples 1-in-64 requests into a span log (no shadows —
-    // the comparison isolates the sampling layer, not the mirror).
+    // with the same options and the same staged shadows, differing only
+    // in head-sampling 1-in-64 requests into a span log.
     let span_path = std::env::temp_dir().join(format!(
         "intune-bench-daemon-{}.spans.log",
         std::process::id()
@@ -301,22 +284,18 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     std::fs::remove_file(&span_path).ok();
     let spans = Arc::new(SpanLog::open(&span_path).expect("span log"));
     let traced_daemon = Daemon::bind_tenants(
-        traced_specs,
+        specs(),
         DaemonOptions {
-            serve: ServeOptions {
-                threads: cfg.threads,
-                drift_threshold: 1.0,
-                ..ServeOptions::default()
-            },
             trace_sample: 64,
             spans: Some(Arc::clone(&spans)),
-            ..DaemonOptions::default()
+            ..opts
         },
         &ListenConfig::default(),
     )
     .expect("traced daemon bind failed");
     let traced_addr = traced_daemon.tcp_addr().to_string();
     let traced_handle = traced_daemon.spawn();
+    let traced_controls = stage_shadows(&traced_addr, &tenant_names, &shadows);
     let traced_latency = Histogram::new();
     let traced_wall = hammer(
         &traced_addr,
@@ -325,10 +304,7 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
         &tenant_features,
         &traced_latency,
     );
-    DaemonClient::connect_to(&traced_addr, &tenant_names[0])
-        .expect("traced control client")
-        .shutdown()
-        .expect("traced shutdown");
+    traced_controls[0].shutdown().expect("traced shutdown");
     traced_handle.join().expect("traced daemon exit");
     let spans_recorded = spans.appended();
     drop(spans);
@@ -358,6 +334,24 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
             overhead_ratio: if wall > 0.0 { traced_wall / wall } else { 0.0 },
         },
     }
+}
+
+/// Connects one control client per tenant and stages that tenant's
+/// shadow before any traffic, so every request is mirrored.
+fn stage_shadows(
+    addr: &str,
+    tenant_names: &[String],
+    shadows: &[ModelArtifact],
+) -> Vec<DaemonClient> {
+    tenant_names
+        .iter()
+        .zip(shadows)
+        .map(|(name, shadow)| {
+            let control = DaemonClient::connect_to(addr, name).expect("control client");
+            control.load_artifact(shadow).expect("stage shadow");
+            control
+        })
+        .collect()
 }
 
 /// The load phase: N clients x R framed batches each, client i bound
@@ -434,7 +428,7 @@ fn hammer(
 
 /// Renders the result as the `BENCH_daemon.json` document (through
 /// [`report`]: sorted keys, trailing newline).
-pub fn daemon_baseline_json(cfg: &DaemonBenchConfig, r: &DaemonBenchResult) -> String {
+pub fn daemon_baseline_json(r: &DaemonBenchResult) -> String {
     let tenants = r
         .tenants
         .iter()
@@ -464,7 +458,6 @@ pub fn daemon_baseline_json(cfg: &DaemonBenchConfig, r: &DaemonBenchResult) -> S
         ("artifact_version", Value::UInt(ARTIFACT_VERSION as u64)),
         ("clients", Value::UInt(r.clients)),
         ("batches_per_client", Value::UInt(r.batches_per_client)),
-        ("workers", Value::UInt(cfg.threads as u64)),
         ("requests", Value::UInt(r.requests)),
         ("selections", Value::UInt(r.selections)),
         ("wall_ms", report::ms(r.wall_ms)),
@@ -511,7 +504,6 @@ mod tests {
             cases: vec![TestCase::Sort2, TestCase::Binpacking],
             clients: 3,
             batches_per_client: 2,
-            threads: 1,
         }
     }
 
@@ -557,7 +549,7 @@ mod tests {
     fn daemon_json_has_stable_schema() {
         let cfg = tiny();
         let r = daemon_baseline(&cfg);
-        let json = daemon_baseline_json(&cfg, &r);
+        let json = daemon_baseline_json(&r);
         for key in [
             "\"schema\": \"intune-bench-daemon/3\"",
             "\"trace_1_in_64\"",
@@ -573,7 +565,6 @@ mod tests {
             "\"binpacking\"",
             "\"agreement_rate\": 1.0",
             "\"promoted_revision\": 2",
-            "\"workers\": 1",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

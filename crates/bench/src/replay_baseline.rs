@@ -37,8 +37,6 @@ pub struct ReplayBenchConfig {
     pub clients: usize,
     /// `SelectBatch` requests per client.
     pub batches_per_client: usize,
-    /// Daemon-side selection worker threads.
-    pub threads: usize,
 }
 
 /// The measured outcome (see module docs for what is deterministic).
@@ -132,7 +130,6 @@ pub fn replay_baseline(cfg: &ReplayBenchConfig) -> ReplayBenchResult {
     );
 
     let serve = ServeOptions {
-        threads: cfg.threads,
         // Never strictly exceeded: the fallback policy stays off, so the
         // capture is pure classifier output regardless of drift-counter
         // interleaving across client threads.
@@ -224,7 +221,6 @@ pub fn replay_baseline_json(cfg: &ReplayBenchConfig, r: &ReplayBenchResult) -> S
             "batches_per_client",
             Value::UInt(cfg.batches_per_client as u64),
         ),
-        ("workers", Value::UInt(cfg.threads as u64)),
         ("requests", Value::UInt(r.requests)),
         ("selections", Value::UInt(r.selections)),
         ("recorded_frames", Value::UInt(r.recorded_frames)),
@@ -250,7 +246,6 @@ mod tests {
             case: TestCase::Sort2,
             clients: 3,
             batches_per_client: 2,
-            threads: 1,
         }
     }
 
@@ -281,7 +276,6 @@ mod tests {
             "\"recorded_frames\": 10",
             "\"recorded_dropped\": 0",
             "\"diverged\": 0",
-            "\"workers\": 1",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -41,8 +41,6 @@ pub struct RetrainBenchConfig {
     pub clients: usize,
     /// Traced `SelectBatch` requests per client.
     pub batches_per_client: usize,
-    /// Daemon-side selection worker threads.
-    pub threads: usize,
 }
 
 /// The measured outcome (see module docs for what is deterministic).
@@ -136,12 +134,10 @@ impl CaseVisitor for RetrainVisitor<'_> {
             DaemonOptions {
                 events: Some(events.clone()),
                 serve: ServeOptions {
-                    threads: cfg.threads,
                     drift_threshold: 1.0,
                     ..ServeOptions::default()
                 },
                 shadow_serve: ServeOptions {
-                    threads: cfg.threads,
                     drift_threshold: 1.0,
                     ..ServeOptions::default()
                 },
@@ -313,7 +309,6 @@ pub fn retrain_baseline_json(cfg: &RetrainBenchConfig, r: &RetrainBenchResult) -
             "batches_per_client",
             Value::UInt(cfg.batches_per_client as u64),
         ),
-        ("workers", Value::UInt(cfg.threads as u64)),
         (
             "journal",
             report::obj(vec![
@@ -362,7 +357,6 @@ mod tests {
             case: TestCase::Sort2,
             clients: 2,
             batches_per_client: 2,
-            threads: 1,
         }
     }
 
@@ -405,7 +399,6 @@ mod tests {
             "\"corpus_entries\": 8",
             "\"cells_saved_by_warm_cache\"",
             "\"promoted_revision\": 1",
-            "\"workers\": 1",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

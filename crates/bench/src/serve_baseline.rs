@@ -55,8 +55,6 @@ pub struct ServeBenchConfig {
     pub suite: SuiteConfig,
     /// Batches dispatched in the throughput pass.
     pub rounds: usize,
-    /// Service worker threads.
-    pub threads: usize,
     /// Drift-probe cadence of the throughput pass
     /// ([`ServeOptions::probe_every`]). Probing is monitoring overhead —
     /// it never changes which landmark is served — so the baseline runs
@@ -104,7 +102,6 @@ impl CaseVisitor for ServeBenchVisitor<'_> {
             benchmark,
             artifact.clone(),
             ServeOptions {
-                threads: self.cfg.threads,
                 probe_every: self.cfg.probe_every,
                 ..ServeOptions::default()
             },
@@ -122,7 +119,6 @@ impl CaseVisitor for ServeBenchVisitor<'_> {
             benchmark,
             artifact,
             ServeOptions {
-                threads: self.cfg.threads,
                 radius_factor: -1.0,
                 drift_threshold: 0.1,
                 min_observations: 1,
@@ -173,14 +169,10 @@ pub fn serve_baseline(cfg: &ServeBenchConfig, cases: &[TestCase]) -> Vec<ServeCa
 /// Renders the baseline as the machine-readable `BENCH_serve.json`
 /// document (through [`crate::report`]: sorted keys, trailing newline).
 /// Besides the counters, the document records the **artifact schema
-/// version**, the **executor worker count**, and the **drift-probe
-/// cadence** used, so trajectory comparisons across PRs are attributable
-/// to a model format, a parallelism level, and a monitoring rate.
-pub fn serve_baseline_json(
-    threads: usize,
-    probe_every: usize,
-    cases: &[ServeCaseBaseline],
-) -> String {
+/// version** and the **drift-probe cadence** used, so trajectory
+/// comparisons across PRs are attributable to a model format and a
+/// monitoring rate.
+pub fn serve_baseline_json(probe_every: usize, cases: &[ServeCaseBaseline]) -> String {
     use crate::report;
     use serde_json::Value;
     let total_sel: u64 = cases.iter().map(|c| c.selections).sum();
@@ -196,7 +188,6 @@ pub fn serve_baseline_json(
             "artifact_version",
             Value::UInt(intune_serve::ARTIFACT_VERSION as u64),
         ),
-        ("workers", Value::UInt(threads as u64)),
         ("probe_every", Value::UInt(probe_every as u64)),
         (
             "cases",
@@ -246,7 +237,6 @@ mod tests {
         ServeBenchConfig {
             suite: micro_config(),
             rounds: 2,
-            threads: 1,
             probe_every: 1,
             // Per test thread: parallel tests must not share (and
             // delete) one directory.
@@ -278,11 +268,10 @@ mod tests {
     fn serve_json_has_stable_schema() {
         let cfg = config();
         let cases = serve_baseline(&cfg, &[TestCase::Binpacking]);
-        let json = serve_baseline_json(1, 1, &cases);
+        let json = serve_baseline_json(1, &cases);
         for key in [
             "\"schema\": \"intune-bench-serve/3\"",
             "\"artifact_version\": 2",
-            "\"workers\": 1",
             "\"probe_every\": 1",
             "\"selections_per_sec\"",
             "\"drift_fraction\"",

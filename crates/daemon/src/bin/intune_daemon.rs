@@ -8,7 +8,7 @@
 //!     [--record DIR] [--record-segment N] \
 //!     [--metrics 127.0.0.1:0] [--events events.log] \
 //!     [--spans DIR] [--trace-sample N] \
-//!     [--threads N] [--probe-every N] \
+//!     [--probe-every N] \
 //!     [--radius-factor X] [--drift-threshold X] [--min-observations N] \
 //!     [--shadow-drift-threshold X] [--shadow-min-observations N] \
 //!     [--min-agreement X] [--min-mirrored N] [--max-outbound-bytes N]
@@ -44,13 +44,13 @@
 //! scripts can grab the resolved ephemeral port), then serves until a
 //! client sends `Shutdown`. `--drift-threshold 1` disables the fallback
 //! policy (the out-of-distribution fraction can never strictly exceed 1),
-//! which CI uses to pin byte-determinism of remote evaluation. Worker
-//! threads default to `INTUNE_THREADS` (hardened parse) or 1.
+//! which CI uses to pin byte-determinism of remote evaluation. Every
+//! request is served inline on the event-loop thread.
 
 use intune_daemon::{Daemon, DaemonOptions, ListenConfig, TenantSpec};
 use intune_datalog::{RecorderSink, RecordingOptions};
 use intune_obs::{EventLog, SpanLog};
-use intune_serve::{JournalOptions, JournalSink, ModelArtifact, ServeOptions, TraceSink};
+use intune_serve::{JournalOptions, JournalSink, ModelArtifact, TraceSink};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -62,13 +62,7 @@ fn main() {
     let mut record_dir: Option<PathBuf> = None;
     let mut record_segment = RecordingOptions::default().segment_max_frames;
     let mut listen = ListenConfig::default();
-    let mut opts = DaemonOptions {
-        serve: ServeOptions {
-            threads: intune_exec::threads_from_env_or_exit(1),
-            ..ServeOptions::default()
-        },
-        ..DaemonOptions::default()
-    };
+    let mut opts = DaemonOptions::default();
     // Staged shadows keep their own (default: armed) drift monitor even
     // when the primary's fallback is pinned off.
 
@@ -109,7 +103,6 @@ fn main() {
                         opts.spans = Some(Arc::new(log));
                     }
                     "--trace-sample" => opts.trace_sample = parse(flag, value),
-                    "--threads" => opts.serve.threads = parse(flag, value),
                     "--probe-every" => opts.serve.probe_every = parse(flag, value),
                     "--radius-factor" => opts.serve.radius_factor = parse(flag, value),
                     "--drift-threshold" => opts.serve.drift_threshold = parse(flag, value),
@@ -139,12 +132,11 @@ fn main() {
         .map(|path| {
             let artifact = ModelArtifact::load(path).unwrap_or_else(|e| die(&e.to_string()));
             eprintln!(
-                "loaded {} (benchmark `{}`, revision {}, {} landmarks, {} worker threads)",
+                "loaded {} (benchmark `{}`, revision {}, {} landmarks)",
                 path.display(),
                 artifact.benchmark,
                 artifact.revision,
-                artifact.landmarks.len(),
-                opts.serve.threads
+                artifact.landmarks.len()
             );
             let trace = journal_dir.as_ref().map(|dir| {
                 // Sole tenant journals to DIR itself (the pre-multi-tenant
@@ -175,7 +167,6 @@ fn main() {
             }
         })
         .collect();
-    opts.shadow_serve.threads = opts.serve.threads;
     let daemon = Daemon::bind_tenants(specs, opts, &listen).unwrap_or_else(|e| die(&e.to_string()));
     println!("listening on {}", daemon.tcp_addr());
     if let Some(addr) = daemon.metrics_addr() {
@@ -230,7 +221,7 @@ fn usage() -> ! {
          [--spans DIR] [--trace-sample N] \
          [--journal DIR] [--journal-segment N] \
          [--record DIR] [--record-segment N] \
-         [--threads N] [--probe-every N] [--radius-factor X] \
+         [--probe-every N] [--radius-factor X] \
          [--drift-threshold X] [--min-observations N] \
          [--shadow-drift-threshold X] [--shadow-min-observations N] \
          [--min-agreement X] [--min-mirrored N] [--max-outbound-bytes N]"

@@ -7,12 +7,14 @@
 //!     (--daemon ADDR | --artifact PATH) \
 //!     [--artifact-b PATH] [--b-pin-fallback] [--check] \
 //!     [--speed X] [--transcript PATH] [--window N] \
-//!     [--threads N] [--probe-every N] [--radius-factor X] \
+//!     [--probe-every N] [--radius-factor X] \
 //!     [--drift-threshold X] [--min-observations N]
 //! ```
 //!
 //! Side A replays the recording against a live daemon (`--daemon`) or an
-//! in-process service built from an artifact file (`--artifact`).
+//! in-process service built from an artifact file (`--artifact`). An
+//! in-process side answers on the calling thread, so its transcript
+//! depends only on the recording, the artifact and the serve options.
 //! `--speed 0` (the default) replays as fast as possible, pipelining
 //! runs of selection frames; `--speed 1.0` reproduces the recorded
 //! inter-frame timing, `2.0` plays it twice as fast.
@@ -159,10 +161,7 @@ fn main() {
     let mut speed = 0.0f64;
     let mut transcript_path: Option<PathBuf> = None;
     let mut window = DEFAULT_WINDOW;
-    let mut serve = ServeOptions {
-        threads: intune_exec::threads_from_env_or_exit(1),
-        ..ServeOptions::default()
-    };
+    let mut serve = ServeOptions::default();
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -185,7 +184,6 @@ fn main() {
                     "--speed" => speed = parse(flag, value),
                     "--transcript" => transcript_path = Some(PathBuf::from(value)),
                     "--window" => window = parse(flag, value),
-                    "--threads" => serve.threads = parse(flag, value),
                     "--probe-every" => serve.probe_every = parse(flag, value),
                     "--radius-factor" => serve.radius_factor = parse(flag, value),
                     "--drift-threshold" => serve.drift_threshold = parse(flag, value),
@@ -310,7 +308,7 @@ fn usage() -> ! {
         "usage: intune_replay --recording DIR (--daemon ADDR | --artifact PATH) \
          [--artifact-b PATH] [--b-pin-fallback] [--check] \
          [--speed X] [--transcript PATH] [--window N] \
-         [--threads N] [--probe-every N] [--radius-factor X] \
+         [--probe-every N] [--radius-factor X] \
          [--drift-threshold X] [--min-observations N]"
     );
     std::process::exit(0)

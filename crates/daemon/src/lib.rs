@@ -756,28 +756,19 @@ mod tests {
             other => panic!("traced batch recorded as {other:?}"),
         }
 
-        // Replay the capture in-process at two worker counts: transcripts
-        // byte-identical, zero divergence, and the answers are exactly
-        // what the daemon originally served.
-        let replay_service = |threads: usize| {
-            VectorService::new(
-                artifact(1),
-                ServeOptions {
-                    threads,
-                    ..ServeOptions::default()
-                },
-            )
-            .unwrap()
-        };
+        // Replay the capture in-process twice: transcripts byte-identical,
+        // zero divergence, and the answers are exactly what the daemon
+        // originally served.
+        let replay_service = || VectorService::new(artifact(1), ServeOptions::default()).unwrap();
         let a = replay(
             &recording.frames,
-            &replay_service(1),
+            &replay_service(),
             &ReplayOptions::default(),
         )
         .unwrap();
         let b = replay(
             &recording.frames,
-            &replay_service(4),
+            &replay_service(),
             &ReplayOptions::default(),
         )
         .unwrap();

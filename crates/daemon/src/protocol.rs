@@ -121,11 +121,11 @@ pub enum Request {
     /// Promotes the staged shadow to primary, gated on its mirrored
     /// agreement record.
     Promote,
-    /// Panics the handling connection thread — fault injection for
-    /// resilience tests (the panic-containment invariant: one poisoned
-    /// request costs one connection, never the daemon). Refused with a
-    /// typed [`Response::Error`] unless the daemon opted in via
-    /// `DaemonOptions::inject_faults`.
+    /// Panics the request handler — fault injection for resilience tests
+    /// (the panic-containment invariant: the event loop catches the
+    /// panic, and one poisoned request costs one connection, never the
+    /// daemon). Refused with a typed [`Response::Error`] unless the daemon
+    /// opted in via `DaemonOptions::inject_faults`.
     InjectPanic,
     /// Asks the daemon to stop accepting connections and exit.
     Shutdown,
@@ -439,34 +439,60 @@ impl Scan<'_> {
         }
     }
 
+    /// One JSON number, read exactly as the generic parser reads it: the
+    /// same grammar (no leading zeros, no `+`, no bare `.` or dangling
+    /// exponent) and the same value — integral text converts through
+    /// `i64`/`u64` first, so `-0` is `0.0` on both routes.
     fn number(&mut self) -> Option<f64> {
         let start = self.at;
-        while let Some(&b) = self.bytes.get(self.at) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.at += 1;
-            } else {
-                break;
+        self.eat(b'-');
+        self.integer_part()?;
+        let fraction = self.eat(b'.');
+        if fraction && self.digits() == 0 {
+            return None;
+        }
+        let exponent = self.eat(b'e') || self.eat(b'E');
+        if exponent && !self.eat(b'+') {
+            self.eat(b'-');
+        }
+        if exponent && self.digits() == 0 {
+            return None;
+        }
+        // Guaranteed ASCII by the grammar above.
+        let text = std::str::from_utf8(&self.bytes[start..self.at]).ok()?;
+        if !fraction && !exponent {
+            if let Ok(i) = text.parse::<i64>() {
+                return Some(i as f64);
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Some(u as f64);
             }
         }
-        // Guaranteed ASCII by the byte class above.
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()?
-            .parse::<f64>()
-            .ok()
+        text.parse::<f64>().ok()
     }
 
     fn integer(&mut self) -> Option<usize> {
         let start = self.at;
-        while self.bytes.get(self.at).is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return None;
-        }
+        self.integer_part()?;
         std::str::from_utf8(&self.bytes[start..self.at])
             .ok()?
             .parse::<usize>()
             .ok()
+    }
+
+    /// A JSON integer part: `0`, or digits without a leading zero.
+    fn integer_part(&mut self) -> Option<()> {
+        let start = self.at;
+        let n = self.digits();
+        (n == 1 || (n > 1 && self.bytes[start] != b'0')).then_some(())
+    }
+
+    fn digits(&mut self) -> usize {
+        let start = self.at;
+        while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
+            self.at += 1;
+        }
+        self.at - start
     }
 
     fn vector(&mut self) -> Option<FeatureVector> {
@@ -999,12 +1025,19 @@ mod tests {
                 FeatureSample::new(0.1 + 0.2, f64::MAX),
             )
             .unwrap();
-        for features in [
-            vec![],
-            vec![FeatureVector::empty(&[])],
-            vec![vector(), tricky, vector()],
-        ] {
-            let payload = encode_select_batch(&features);
+        // Spellings the printer never emits decode identically too:
+        // integral text converts through `i64`/`u64` on both routes, so
+        // `-0` is +0.0 on both.
+        let canonical = encode_select_batch(&[vector()]);
+        let spellings = ["-0", "7", "18446744073709551616", "1e400", "2.5E-3"];
+        let payloads = [
+            encode_select_batch(&[]),
+            encode_select_batch(&[FeatureVector::empty(&[])]),
+            encode_select_batch(&[vector(), tricky, vector()]),
+        ]
+        .into_iter()
+        .chain(spellings.map(|spelling| canonical.replace("3.0", spelling)));
+        for payload in payloads {
             let fast = decode_select_batch(&payload).expect("canonical payload");
             let Request::SelectBatch {
                 features: generic,
@@ -1013,15 +1046,9 @@ mod tests {
             else {
                 panic!("generic parse must see an untraced SelectBatch")
             };
-            assert_eq!(fast, generic);
-            // `PartialEq` treats -0.0 == 0.0; pin the bits as well.
-            for (f, g) in fast.iter().zip(&generic) {
-                assert!(f
-                    .dense()
-                    .iter()
-                    .zip(g.dense().iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
+            // `Debug` prints each float's shortest round-trip form: equal
+            // text means equal bits (`PartialEq` treats -0.0 == 0.0).
+            assert_eq!(format!("{fast:?}"), format!("{generic:?}"), "{payload}");
         }
     }
 
@@ -1040,6 +1067,13 @@ mod tests {
             canonical.replace("\"slots\"", "\"stols\""), // foreign key
             canonical.replace("1.5", "\"NaN\""), // stringified float
             canonical[..canonical.len() - 1].to_string(), // truncated
+            // Numbers `str::parse` takes but JSON does not:
+            canonical.replace(":0.25", ":.25"),   // bare fraction
+            canonical.replace(":1.5", ":+1.5"),   // explicit plus
+            canonical.replace("3.0", "3."),       // dangling point
+            canonical.replace("3.0", "3e"),       // dangling exponent
+            canonical.replace("3.0", "03.0"),     // leading zero
+            canonical.replace("[0,2]", "[0,02]"), // leading-zero offset
         ] {
             assert!(
                 decode_select_batch(&payload).is_none(),

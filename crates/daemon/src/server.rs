@@ -104,9 +104,8 @@ const SHUTDOWN_FLUSH_TIMEOUT: Duration = Duration::from_secs(1);
 /// auto-rejection.
 #[derive(Clone)]
 pub struct DaemonOptions {
-    /// Serving options of every tenant's primary (worker threads, probe
-    /// cadence, drift thresholds). Promoted shadows are re-wrapped under
-    /// these.
+    /// Serving options of every tenant's primary (probe cadence, drift
+    /// thresholds). Promoted shadows are re-wrapped under these.
     pub serve: ServeOptions,
     /// Serving options applied to staged shadows while they mirror.
     pub shadow_serve: ServeOptions,

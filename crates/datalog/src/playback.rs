@@ -432,15 +432,8 @@ mod tests {
         fv
     }
 
-    fn service(threads: usize, flipped: bool) -> VectorService {
-        VectorService::new(
-            artifact(flipped),
-            ServeOptions {
-                threads,
-                ..ServeOptions::default()
-            },
-        )
-        .unwrap()
+    fn service(flipped: bool) -> VectorService {
+        VectorService::new(artifact(flipped), ServeOptions::default()).unwrap()
     }
 
     /// A session shape worth replaying: two interleaved connections, a
@@ -479,7 +472,7 @@ mod tests {
 
     #[test]
     fn replay_answers_selection_frames_in_capture_order_and_skips_controls() {
-        let svc = service(1, false);
+        let svc = service(false);
         let outcome = replay(&frames(), &svc, &ReplayOptions::default()).unwrap();
         assert_eq!(outcome.control_skipped, 3);
         assert_eq!(outcome.results.len(), 4);
@@ -502,21 +495,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_deterministic_across_runs_and_worker_counts() {
-        let baseline = replay(&frames(), &service(1, false), &ReplayOptions::default())
+    fn replay_is_deterministic_across_runs() {
+        let baseline = replay(&frames(), &service(false), &ReplayOptions::default())
             .unwrap()
             .transcript();
         assert!(!baseline.is_empty());
-        for threads in [1, 4] {
-            let again = replay(
-                &frames(),
-                &service(threads, false),
-                &ReplayOptions::default(),
-            )
+        let again = replay(&frames(), &service(false), &ReplayOptions::default())
             .unwrap()
             .transcript();
-            assert_eq!(again, baseline, "threads = {threads}");
-        }
+        assert_eq!(again, baseline);
     }
 
     #[test]
@@ -524,21 +511,16 @@ mod tests {
         // Speed only changes pacing, never answers: a very fast paced
         // replay (deltas of a few µs scaled down further) must produce
         // the same transcript as the as-fast-as-possible path.
-        let fast = replay(&frames(), &service(1, false), &ReplayOptions::default()).unwrap();
-        let paced = replay(
-            &frames(),
-            &service(1, false),
-            &ReplayOptions { speed: 1000.0 },
-        )
-        .unwrap();
+        let fast = replay(&frames(), &service(false), &ReplayOptions::default()).unwrap();
+        let paced = replay(&frames(), &service(false), &ReplayOptions { speed: 1000.0 }).unwrap();
         assert_eq!(paced.transcript(), fast.transcript());
         assert_eq!(paced.control_skipped, fast.control_skipped);
     }
 
     #[test]
     fn same_revision_replays_report_zero_divergence() {
-        let a = replay(&frames(), &service(1, false), &ReplayOptions::default()).unwrap();
-        let b = replay(&frames(), &service(4, false), &ReplayOptions::default()).unwrap();
+        let a = replay(&frames(), &service(false), &ReplayOptions::default()).unwrap();
+        let b = replay(&frames(), &service(false), &ReplayOptions::default()).unwrap();
         let report = divergence(&a, &b);
         assert!(report.clean(), "{report:?}");
         assert_eq!(report.frames, 4);
@@ -550,8 +532,8 @@ mod tests {
 
     #[test]
     fn changed_answers_are_reported_with_first_divergence_detail() {
-        let a = replay(&frames(), &service(1, false), &ReplayOptions::default()).unwrap();
-        let b = replay(&frames(), &service(1, true), &ReplayOptions::default()).unwrap();
+        let a = replay(&frames(), &service(false), &ReplayOptions::default()).unwrap();
+        let b = replay(&frames(), &service(true), &ReplayOptions::default()).unwrap();
         let report = divergence(&a, &b);
         assert!(!report.clean());
         assert_eq!(
@@ -572,7 +554,7 @@ mod tests {
     fn tenant_mismatch_is_a_typed_error_not_a_wrong_answer() {
         let mut fs = frames();
         fs[1].tenant = "someone-else".to_string();
-        let err = replay(&fs, &service(1, false), &ReplayOptions::default()).unwrap_err();
+        let err = replay(&fs, &service(false), &ReplayOptions::default()).unwrap_err();
         assert!(err.to_string().contains("someone-else"), "{err}");
     }
 }

@@ -90,16 +90,6 @@ pub fn cache_dir_from_env() -> Result<Option<PathBuf>> {
     }
 }
 
-/// [`threads_from_env`] for binaries without error plumbing: prints the
-/// typed error to stderr and exits with status 2 on garbage; `default`
-/// when the variable is unset. One definition so every bin shares the
-/// same exit convention.
-pub fn threads_from_env_or_exit(default: usize) -> usize {
-    threads_from_env()
-        .unwrap_or_else(|e| exit_config(&e))
-        .unwrap_or(default)
-}
-
 /// [`cache_dir_from_env`] for binaries: prints the typed error to stderr
 /// and exits with status 2 on garbage; `None` when unset.
 pub fn cache_dir_from_env_or_exit() -> Option<PathBuf> {

@@ -13,18 +13,19 @@
 //!   save after `learn()`, reload in a fresh process, get byte-identical
 //!   selections (`artifact` module; format spec in `crates/serve/README.md`,
 //!   current schema version 2 with a version-1 migration reader).
-//! * [`SelectorService`] — the serving runtime: batched classification
-//!   over the work-stealing executor, per-request feature-subset
-//!   extraction, a centroid-distance **drift monitor** counting
-//!   out-of-distribution inputs, and a **fallback policy** that pins the
-//!   safe landmark when the input distribution has shifted too far from
-//!   the training corpus (`service` module).
-//! * [`VectorService`] — the same selection + drift semantics over
-//!   **pre-extracted feature vectors**, with no benchmark type in sight:
-//!   the core the `intune_daemon` wire server is built on (`vector`
-//!   module). Both services share one drift monitor implementation
-//!   (`monitor` module), so a vector-served selection is bit-identical
-//!   to a benchmark-served one.
+//! * [`VectorService`] — the serving core: selection over
+//!   **pre-extracted feature vectors**, with no benchmark type in sight,
+//!   answered on the calling thread. It carries a centroid-distance
+//!   **drift monitor** counting out-of-distribution inputs (`monitor`
+//!   module) and a **fallback policy** that pins the safe landmark when
+//!   the input distribution has shifted too far from the training
+//!   corpus. The `intune_daemon` wire server is built on it (`vector`
+//!   module).
+//! * [`SelectorService`] — the same core bound to a benchmark: it adds
+//!   only per-input feature acquisition, extracting lazily so a request
+//!   pays for just the features the classifier reads (`service` module).
+//!   A vector-served selection is bit-identical to a benchmark-served
+//!   one.
 //! * [`TraceSink`] + the **request journal** (`trace` / `journal`
 //!   modules) — continuous learning's observation layer: every answered
 //!   selection can be appended to a segmented, crash-tolerant log

@@ -1,23 +1,22 @@
-//! The drift monitor shared by both serving front ends.
+//! The drift monitor of the serving core.
 //!
-//! [`SelectorService`](crate::SelectorService) (benchmark-bound, lazy
-//! extraction) and [`VectorService`](crate::VectorService) (benchmark-free,
-//! pre-extracted feature vectors — the daemon's core) watch the input
-//! distribution the same way: probed requests are normalized with the
-//! artifact's training normalizer and measured against the training
-//! cluster centroids; when the out-of-distribution fraction among probed
+//! [`VectorService`](crate::VectorService) — and through it
+//! [`SelectorService`](crate::SelectorService) — watches the input
+//! distribution: probed requests are normalized with the artifact's
+//! training normalizer and measured against the training cluster
+//! centroids; when the out-of-distribution fraction among probed
 //! requests exceeds a threshold (after a minimum observation count), the
 //! fallback policy pins the artifact's safe landmark until reset. This
 //! module owns that state — the geometry test, the monotone counters, and
-//! the threshold decision — so the two front ends cannot drift apart.
+//! the threshold decision.
 
 use crate::artifact::{distance, ModelArtifact};
 use crate::service::{ServeOptions, ServeStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters + threshold state of one serving runtime. All methods take
-/// `&self`; everything is atomics, so the monitor is freely shared across
-/// the executor's workers.
+/// `&self`; everything is atomics, so a service and its monitor can be
+/// shared across threads.
 #[derive(Debug)]
 pub(crate) struct DriftMonitor {
     /// Largest per-cluster training radius — the OOD allowance of
@@ -101,25 +100,14 @@ impl DriftMonitor {
         self.ood.store(0, Ordering::Release);
     }
 
-    /// Records one answered request (probe outcome + fallback flag).
-    pub(crate) fn record_single(&self, probed: bool, was_ood: bool, fell_back: bool) {
-        self.requests.fetch_add(1, Ordering::AcqRel);
-        if probed {
-            self.probed.fetch_add(1, Ordering::AcqRel);
-            if was_ood {
-                self.ood.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-        if fell_back {
-            self.fallbacks.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Merges one dispatched batch's counts at batch exit.
-    pub(crate) fn record_batch(&self, requests: u64, probed: u64, ood: u64, fallbacks: u64) {
+    /// Merges the counts of one answered request or batch at its exit. A
+    /// batch also counts toward `batches` and `max_batch`.
+    pub(crate) fn record(&self, requests: u64, probed: u64, ood: u64, fallbacks: u64, batch: bool) {
         self.requests.fetch_add(requests, Ordering::AcqRel);
-        self.batches.fetch_add(1, Ordering::AcqRel);
-        self.max_batch.fetch_max(requests, Ordering::AcqRel);
+        if batch {
+            self.batches.fetch_add(1, Ordering::AcqRel);
+            self.max_batch.fetch_max(requests, Ordering::AcqRel);
+        }
         self.probed.fetch_add(probed, Ordering::AcqRel);
         self.ood.fetch_add(ood, Ordering::AcqRel);
         self.fallbacks.fetch_add(fallbacks, Ordering::AcqRel);

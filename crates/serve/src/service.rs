@@ -1,39 +1,27 @@
-//! The online selector serving runtime.
+//! The benchmark-bound serving runtime.
 //!
-//! A [`SelectorService`] owns a loaded [`ModelArtifact`] and answers
-//! selection requests: extract (only) the production classifier's feature
-//! subset, classify, and return the landmark to run — batched across the
-//! work-stealing executor for throughput, with results independent of the
-//! worker count.
+//! A [`SelectorService`] answers selection requests for a benchmark's
+//! own inputs: acquire the input's features, classify, and return the
+//! landmark to run. It is a thin layer over the [`VectorService`] core,
+//! which owns classification, the drift monitor and the fallback policy.
+//! Its only logic of its own is per-input feature acquisition: a
+//! drift-probed input is extracted in full (`extract_all`), every other
+//! input lazily, paying only for the features the classifier reads (the
+//! paper's deployment path).
 //!
-//! Production input distributions drift away from the training corpus
-//! (Lesoil et al.), so the service also carries a **drift monitor**: each
-//! probed request's full feature vector is normalized with the artifact's
-//! training normalizer and measured against the training cluster
-//! centroids. An input farther than `radius_factor ×` the cluster's
-//! training radius from *every* centroid counts as out-of-distribution;
-//! when the OOD fraction exceeds `drift_threshold` (after a minimum
-//! observation count), the service switches to the artifact's safe
-//! **fallback landmark** — the paper's conservative configuration — until
-//! the monitor is reset. Fallback state changes take effect at request /
-//! batch boundaries, so batch results stay deterministic at any worker
-//! count.
+//! The shared types live here too: [`ServeOptions`] (probe cadence and
+//! drift thresholds), [`Selection`] and [`ServeStats`].
 
 use crate::artifact::ModelArtifact;
-use crate::monitor::DriftMonitor;
-use intune_core::{Benchmark, Configuration, ExecutionReport, FeatureSet, Result};
-use intune_exec::Executor;
-use intune_learning::selection::samples_for;
-use intune_learning::CompiledClassifier;
-use intune_obs::{EventKind, EventLog};
+use crate::vector::VectorService;
+use intune_core::{Benchmark, Configuration, ExecutionReport, Result};
+use intune_obs::EventLog;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Tunables of the serving runtime.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads for batched selection (clamped to ≥ 1).
-    pub threads: usize,
     /// Drift probe cadence: the full feature vector (needed for the
     /// centroid distance) is extracted for every `probe_every`-th request
     /// of a batch; selection itself always pays only the classifier's
@@ -52,7 +40,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            threads: 1,
             probe_every: 1,
             radius_factor: 1.5,
             drift_threshold: 0.5,
@@ -76,9 +63,9 @@ pub struct Selection {
     pub fell_back: bool,
 }
 
-/// Monotone counters of a serving runtime ([`SelectorService`] or
-/// [`crate::VectorService`]). Serializable: the daemon reports them over
-/// the wire.
+/// Monotone counters of a serving runtime ([`VectorService`], or a
+/// [`SelectorService`] over one). Serializable: the daemon reports them
+/// over the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Selection requests answered.
@@ -89,7 +76,7 @@ pub struct ServeStats {
     pub ood: u64,
     /// Requests answered with the fallback landmark.
     pub fallbacks: u64,
-    /// Batches dispatched through the executor.
+    /// Batches answered (single-request calls are not batches).
     pub batches: u64,
     /// Largest batch seen.
     pub max_batch: u64,
@@ -118,26 +105,15 @@ impl std::fmt::Display for ServeStats {
     }
 }
 
-/// The serving runtime: a validated artifact bound to its benchmark.
+/// The serving runtime for a benchmark's inputs: a [`VectorService`]
+/// whose features come from the benchmark.
 ///
-/// Shared-state design: the artifact is immutable after construction and
-/// all counters are atomics, so `&self` methods are safe to call from
-/// multiple threads; batch dispatch additionally fans out over the
-/// work-stealing executor.
+/// The artifact is immutable after construction and all counters are
+/// atomics, so `&self` methods are safe to call from multiple threads.
 #[derive(Debug)]
 pub struct SelectorService<'b, B: Benchmark> {
     benchmark: &'b B,
-    artifact: ModelArtifact,
-    /// The production classifier compiled for inference (flattened tree),
-    /// plus its feature subset — both fixed at construction.
-    compiled: CompiledClassifier,
-    set: FeatureSet,
-    executor: Executor,
-    opts: ServeOptions,
-    monitor: DriftMonitor,
-    /// Optional lifecycle event log: drift trips and fallback
-    /// recoveries are journaled as they happen.
-    events: Option<Arc<EventLog>>,
+    core: VectorService,
 }
 
 impl<'b, B: Benchmark> SelectorService<'b, B> {
@@ -149,178 +125,80 @@ impl<'b, B: Benchmark> SelectorService<'b, B> {
     /// not fit the benchmark.
     pub fn new(benchmark: &'b B, artifact: ModelArtifact, opts: ServeOptions) -> Result<Self> {
         artifact.validate(benchmark)?;
-        let monitor = DriftMonitor::new(&artifact, &opts);
-        let compiled = CompiledClassifier::compile(artifact.classifier.clone());
-        let set = compiled.feature_set();
         Ok(SelectorService {
             benchmark,
-            artifact,
-            compiled,
-            set,
-            executor: Executor::new(opts.threads),
-            opts,
-            monitor,
-            events: None,
+            core: VectorService::new(artifact, opts)?,
         })
     }
 
-    /// Attaches (or detaches) a lifecycle event log. The service emits
-    /// `DriftTripped` when its monitor engages fallback and
-    /// `FallbackCleared` when it recovers — best-effort, observation
-    /// only, off the hot path except for one state comparison.
+    /// Attaches (or detaches) a lifecycle event log; see
+    /// [`VectorService::set_events`].
     pub fn set_events(&mut self, events: Option<Arc<EventLog>>) {
-        self.events = events;
+        self.core.set_events(events);
     }
 
     /// The artifact being served.
     pub fn artifact(&self) -> &ModelArtifact {
-        &self.artifact
+        self.core.artifact()
     }
 
     /// The landmark configurations being dispatched to.
     pub fn landmarks(&self) -> &[Configuration] {
-        &self.artifact.landmarks
+        self.core.landmarks()
     }
 
     /// Whether the fallback policy is currently engaged.
     pub fn fallback_active(&self) -> bool {
-        self.monitor.fallback_active()
+        self.core.fallback_active()
     }
 
-    /// The current out-of-distribution fraction among probed requests —
-    /// the quantity the fallback policy compares against its threshold.
-    /// Cheap (two atomic loads), so drift watchers (the retrain
-    /// controller, tests) need not diff [`SelectorService::stats`]
-    /// snapshots.
+    /// The current out-of-distribution fraction among probed requests;
+    /// see [`VectorService::trip_rate`].
     pub fn trip_rate(&self) -> f64 {
-        self.monitor.trip_rate()
+        self.core.trip_rate()
     }
 
-    /// Resets the drift monitor (e.g. after retraining was scheduled or
-    /// the input shift was acknowledged); request counters keep
-    /// counting. An engaged fallback clearing through reset is
-    /// journaled like a recovery.
+    /// Resets the drift monitor; see [`VectorService::reset_drift`].
     pub fn reset_drift(&self) {
-        let was = self.monitor.fallback_active();
-        self.monitor.reset();
-        if was {
-            if let Some(events) = &self.events {
-                events.record(
-                    &self.artifact.benchmark,
-                    self.artifact.revision,
-                    EventKind::FallbackCleared { trip_rate: 0.0 },
-                );
-            }
-        }
-    }
-
-    /// Journals a fallback-state transition (entry snapshot `was` vs the
-    /// post-record state). One branch when no event log is attached;
-    /// both events carry the monitor's counters at the transition.
-    fn note_fallback_transition(&self, was: bool) {
-        let Some(events) = &self.events else { return };
-        let now = self.monitor.fallback_active();
-        if now == was {
-            return;
-        }
-        let stats = self.monitor.stats();
-        let kind = if now {
-            EventKind::DriftTripped {
-                probed: stats.probed,
-                ood: stats.ood,
-                trip_rate: self.monitor.trip_rate(),
-            }
-        } else {
-            EventKind::FallbackCleared {
-                trip_rate: self.monitor.trip_rate(),
-            }
-        };
-        events.record(&self.artifact.benchmark, self.artifact.revision, kind);
+        self.core.reset_drift();
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ServeStats {
-        self.monitor.stats()
+        self.core.stats()
     }
 
-    /// Classifies one input under the drift state observed at entry,
-    /// returning the selection and the probe outcome without touching
-    /// counters (the deterministic core of both entry points).
-    fn classify(&self, input: &B::Input, probe: bool, fall_back: bool) -> Selection {
-        let (landmark, extraction_cost, out_of_distribution) = if probe {
-            // A probed request needs the full feature vector anyway (for
-            // the centroid distance), so extract once and feed both the
-            // classifier (its subset, via `samples_for`) and the probe —
-            // instead of a lazy subset extraction *plus* a full one. The
-            // reported cost stays the subset's: the probe is monitoring
-            // overhead, not part of the classifier's decision cost.
+    /// Acquires one input's features and classifies it. A probed request
+    /// needs the full feature vector anyway (for the centroid distance),
+    /// so it extracts once and feeds both the classifier (its subset) and
+    /// the probe — the reported cost stays the subset's, because the
+    /// probe is monitoring overhead. An unprobed request extracts only
+    /// what the classifier reads.
+    fn classify(&self, input: &B::Input, probe: bool) -> Selection {
+        if probe {
             let fv = self.benchmark.extract_all(input);
-            let samples = samples_for(&fv, &self.set);
-            let (landmark, cost) = self.compiled.classify_costed(&samples);
-            let z = self.artifact.normalizer.transform(&fv.dense());
-            (landmark, cost, self.monitor.is_ood(&self.artifact, &z))
+            let z = self.core.artifact().normalizer.transform(&fv.dense());
+            self.core.classify_vector(&fv, Some(&z))
         } else {
-            let (landmark, cost) = self
-                .compiled
-                .classify_lazy(|property, level| self.benchmark.extract(property, level, input));
-            (landmark, cost, false)
-        };
-        if fall_back {
-            Selection {
-                landmark: self.artifact.fallback,
-                extraction_cost,
-                out_of_distribution,
-                fell_back: true,
-            }
-        } else {
-            Selection {
-                landmark,
-                extraction_cost,
-                out_of_distribution,
-                fell_back: false,
-            }
+            self.core
+                .classify_lazy(|property, level| self.benchmark.extract(property, level, input))
         }
     }
 
     /// Answers one selection request, updating the drift monitor.
     pub fn select(&self, input: &B::Input) -> Selection {
-        let fall_back = self.fallback_active();
-        let selection = self.classify(input, true, fall_back);
-        self.monitor
-            .record_single(true, selection.out_of_distribution, selection.fell_back);
-        self.note_fallback_transition(fall_back);
-        selection
+        self.core
+            .answer(1, false, |_, _| self.classify(input, true))[0]
     }
 
-    /// Answers a batch of selection requests, fanned out over the
-    /// work-stealing executor. The drift/fallback state is snapshotted at
-    /// batch entry and counter updates are merged at batch exit, so the
-    /// returned selections are identical at any worker count; a drift
-    /// trip engages fallback from the *next* batch on.
-    pub fn select_batch(&self, inputs: &[B::Input]) -> Vec<Selection>
-    where
-        B: Sync,
-        B::Input: Sync,
-    {
-        let fall_back = self.fallback_active();
-        let probe_every = self.opts.probe_every.max(1);
-        let jobs: Vec<usize> = (0..inputs.len()).collect();
-        let outcome = self.executor.run(jobs, |_, i| {
-            self.classify(&inputs[i], i % probe_every == 0, fall_back)
-        });
-        let selections = outcome.results;
-
-        let probed = (0..inputs.len()).filter(|i| i % probe_every == 0).count() as u64;
-        let ood = selections.iter().filter(|s| s.out_of_distribution).count() as u64;
-        let fallbacks = if fall_back {
-            selections.len() as u64
-        } else {
-            0
-        };
-        self.monitor
-            .record_batch(selections.len() as u64, probed, ood, fallbacks);
-        self.note_fallback_transition(fall_back);
-        selections
+    /// Answers a batch of selection requests on the calling thread. The
+    /// drift/fallback state is snapshotted at batch entry and counter
+    /// updates are merged at batch exit, so a drift trip engages fallback
+    /// from the *next* batch on.
+    pub fn select_batch(&self, inputs: &[B::Input]) -> Vec<Selection> {
+        self.core.answer(inputs.len(), true, |i, probe| {
+            self.classify(&inputs[i], probe.is_some())
+        })
     }
 
     /// Classifies and executes: runs the selected landmark on the input.
@@ -328,7 +206,7 @@ impl<'b, B: Benchmark> SelectorService<'b, B> {
         let selection = self.select(input);
         (
             self.benchmark
-                .run(&self.artifact.landmarks[selection.landmark], input),
+                .run(&self.artifact().landmarks[selection.landmark], input),
             selection,
         )
     }
@@ -345,21 +223,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_selection_matches_sequential_at_any_width() {
+    fn batched_selection_matches_sequential() {
         let fresh = synthetic_corpus(64, 21);
         let serial = service(ServeOptions::default());
         let expected: Vec<Selection> = fresh.iter().map(|i| serial.select(i)).collect();
-        for threads in [1, 4] {
-            let svc = service(ServeOptions {
-                threads,
-                ..ServeOptions::default()
-            });
-            let got = svc.select_batch(&fresh);
-            assert_eq!(got, expected, "{threads} threads");
-            assert_eq!(svc.stats().requests, 64);
-            assert_eq!(svc.stats().batches, 1);
-            assert_eq!(svc.stats().max_batch, 64);
-        }
+        let svc = service(ServeOptions::default());
+        assert_eq!(svc.select_batch(&fresh), expected);
+        assert_eq!(svc.stats().requests, 64);
+        assert_eq!(svc.stats().batches, 1);
+        assert_eq!(svc.stats().max_batch, 64);
     }
 
     #[test]

@@ -1,35 +1,37 @@
-//! The benchmark-free serving core: selection over pre-extracted
-//! feature vectors.
+//! The serving core: selection over feature vectors.
 //!
-//! A [`VectorService`] answers the same question as
-//! [`SelectorService`](crate::SelectorService) — *which landmark should
-//! this input run?* — but consumes [`FeatureVector`]s instead of
-//! benchmark inputs. That makes it deployable where the benchmark type
+//! A [`VectorService`] answers the serving question — *which landmark
+//! should this input run?* — for [`FeatureVector`]s, with no benchmark
+//! type in sight. That makes it deployable where the benchmark type
 //! cannot follow: the serve daemon links no benchmark crates and serves
 //! any artifact whose clients extract features near their data and ship
-//! the vectors over the wire. Selections are computed exactly like the
-//! in-process path (`classify_costed` over the classifier's subset of the
-//! vector), so a vector-served selection is bit-identical to a
+//! the vectors over the wire.
+//!
+//! [`SelectorService`](crate::SelectorService) is a thin layer over this
+//! core that acquires each input's features from its benchmark. Both
+//! answer through one batch loop here, on the calling thread: the
+//! drift/fallback state is snapshotted at batch entry, counters merge at
+//! batch exit, and fallback transitions are journaled once. A
+//! vector-served selection is therefore bit-identical to a
 //! benchmark-served one for the same input.
 
 use crate::artifact::ModelArtifact;
 use crate::monitor::DriftMonitor;
 use crate::service::{Selection, ServeOptions, ServeStats};
 use crate::trace::TraceSink;
-use intune_core::{Configuration, Error, FeatureSet, FeatureVector, Result, TraceContext};
-use intune_exec::Executor;
+use intune_core::{
+    Configuration, Error, FeatureSample, FeatureSet, FeatureVector, Result, TraceContext,
+};
 use intune_learning::selection::samples_for;
 use intune_learning::CompiledClassifier;
 use intune_obs::{EventKind, EventLog, IdMinter, Span, SpanLog};
 use std::sync::Arc;
 
-/// A serving runtime over pre-extracted feature vectors: validated
-/// artifact, the production classifier's feature subset, a drift monitor,
-/// and the work-stealing executor for batches.
+/// A serving runtime over feature vectors: validated artifact, the
+/// production classifier's feature subset, and a drift monitor.
 ///
-/// Shared-state design mirrors `SelectorService`: the artifact is
-/// immutable after construction and all counters are atomics, so `&self`
-/// methods are safe from multiple threads.
+/// The artifact is immutable after construction and all counters are
+/// atomics, so `&self` methods are safe from multiple threads.
 pub struct VectorService {
     artifact: ModelArtifact,
     /// The production classifier compiled for inference (flattened tree),
@@ -37,7 +39,6 @@ pub struct VectorService {
     compiled: CompiledClassifier,
     /// The classifier's feature subset, precomputed at construction.
     set: FeatureSet,
-    executor: Executor,
     opts: ServeOptions,
     monitor: DriftMonitor,
     /// Optional observer of every answered selection (request journal).
@@ -86,7 +87,6 @@ impl VectorService {
             artifact,
             compiled,
             set,
-            executor: Executor::new(opts.threads),
             opts,
             monitor,
             trace: None,
@@ -214,27 +214,71 @@ impl VectorService {
         Ok(())
     }
 
-    /// The deterministic core shared by both entry points: classify one
-    /// validated vector under the drift state observed at entry, without
-    /// touching counters. `z` is the pre-normalized feature row for
-    /// probed requests (`None` = unprobed — no drift check).
-    fn classify(&self, fv: &FeatureVector, z: Option<&[f64]>, fall_back: bool) -> Selection {
+    /// The classifier's answer for a fully extracted vector: it reads its
+    /// feature subset of `fv`. `z` is the normalized feature row of a
+    /// probed request (`None` = unprobed — no drift check).
+    pub(crate) fn classify_vector(&self, fv: &FeatureVector, z: Option<&[f64]>) -> Selection {
         let samples = samples_for(fv, &self.set);
         let (landmark, extraction_cost) = self.compiled.classify_costed(&samples);
-        let out_of_distribution = match z {
-            Some(z) => self.monitor.is_ood(&self.artifact, z),
-            None => false,
-        };
         Selection {
-            landmark: if fall_back {
-                self.artifact.fallback
-            } else {
-                landmark
-            },
+            landmark,
             extraction_cost,
-            out_of_distribution,
-            fell_back: fall_back,
+            out_of_distribution: z.is_some_and(|z| self.monitor.is_ood(&self.artifact, z)),
+            fell_back: false,
         }
+    }
+
+    /// The classifier's answer from on-demand extraction: `extract`
+    /// receives `(property, level)` and is called only for the features
+    /// the classifier reads. No drift check.
+    pub(crate) fn classify_lazy(
+        &self,
+        extract: impl FnMut(usize, usize) -> FeatureSample,
+    ) -> Selection {
+        let (landmark, extraction_cost) = self.compiled.classify_lazy(extract);
+        Selection {
+            landmark,
+            extraction_cost,
+            out_of_distribution: false,
+            fell_back: false,
+        }
+    }
+
+    /// The one batch loop behind every entry point of both services:
+    /// snapshots the fallback state, answers requests `0..len` in order on
+    /// the calling thread, then merges the counts and journals a fallback
+    /// transition — a drift trip engages fallback from the *next* call on.
+    /// `classify(i, probe)` is the classifier's answer for request `i`;
+    /// `probe` is `Some(k)` when `i` is the `k`-th drift-probed request
+    /// (every `probe_every`-th from 0). Single requests pass `len` 1 and
+    /// `batch: false`: always probed, never counted as a batch.
+    pub(crate) fn answer(
+        &self,
+        len: usize,
+        batch: bool,
+        mut classify: impl FnMut(usize, Option<usize>) -> Selection,
+    ) -> Vec<Selection> {
+        let fall_back = self.monitor.fallback_active();
+        let probe_every = self.opts.probe_every.max(1);
+        let mut ood = 0;
+        let selections: Vec<Selection> = (0..len)
+            .map(|i| {
+                let probe = (i % probe_every == 0).then_some(i / probe_every);
+                let mut selection = classify(i, probe);
+                ood += u64::from(selection.out_of_distribution);
+                if fall_back {
+                    selection.landmark = self.artifact.fallback;
+                    selection.fell_back = true;
+                }
+                selection
+            })
+            .collect();
+        let fallbacks = if fall_back { len as u64 } else { 0 };
+        let probed = len.div_ceil(probe_every) as u64;
+        self.monitor
+            .record(len as u64, probed, ood, fallbacks, batch);
+        self.note_fallback_transition(fall_back);
+        selections
     }
 
     /// Answers one selection request, updating the drift monitor.
@@ -244,12 +288,8 @@ impl VectorService {
     /// artifact's feature declaration.
     pub fn select_vector(&self, fv: &FeatureVector) -> Result<Selection> {
         self.validate_vector(fv)?;
-        let fall_back = self.monitor.fallback_active();
         let z = self.artifact.normalizer.transform(&fv.dense());
-        let selection = self.classify(fv, Some(&z), fall_back);
-        self.monitor
-            .record_single(true, selection.out_of_distribution, selection.fell_back);
-        self.note_fallback_transition(fall_back);
+        let selection = self.answer(1, false, |_, _| self.classify_vector(fv, Some(&z)))[0];
         if let Some(trace) = &self.trace {
             trace.record_batch(
                 self.artifact.revision,
@@ -261,12 +301,11 @@ impl VectorService {
         Ok(selection)
     }
 
-    /// Answers a batch of selection requests, fanned out over the
-    /// work-stealing executor. Vectors are validated up front (the whole
-    /// batch is rejected before any counter moves), the drift/fallback
-    /// state is snapshotted at batch entry, and counter updates merge at
-    /// batch exit — identical results at any worker count, with a drift
-    /// trip engaging fallback from the *next* batch on.
+    /// Answers a batch of selection requests on the calling thread.
+    /// Vectors are validated up front (the whole batch is rejected before
+    /// any counter moves), the drift/fallback state is snapshotted at
+    /// batch entry, and counter updates merge at batch exit — a drift
+    /// trip engages fallback from the *next* batch on.
     ///
     /// # Errors
     /// Returns [`Error::Artifact`] naming the first ill-shaped vector.
@@ -321,34 +360,18 @@ impl VectorService {
             self.validate_vector(fv)
                 .map_err(|e| Error::artifact(format!("batch vector {i}: {e}")))?;
         }
-        let fall_back = self.monitor.fallback_active();
-        let probe_every = self.opts.probe_every.max(1);
         // Normalize the probed sub-batch in one struct-of-arrays pass
         // (dimension-major; see `ZScore::transform_batch`) instead of one
-        // row-major transform per probed request inside the workers.
+        // row-major transform per probed request.
         let probed_rows: Vec<Vec<f64>> = vectors
             .iter()
-            .step_by(probe_every)
+            .step_by(self.opts.probe_every.max(1))
             .map(|fv| fv.dense())
             .collect();
         let zs = self.artifact.normalizer.transform_batch(&probed_rows);
-        let jobs: Vec<usize> = (0..vectors.len()).collect();
-        let outcome = self.executor.run(jobs, |_, i| {
-            let z = (i % probe_every == 0).then(|| zs[i / probe_every].as_slice());
-            self.classify(&vectors[i], z, fall_back)
+        let selections = self.answer(vectors.len(), true, |i, probe| {
+            self.classify_vector(&vectors[i], probe.map(|k| zs[k].as_slice()))
         });
-        let selections = outcome.results;
-
-        let probed = (0..vectors.len()).filter(|i| i % probe_every == 0).count() as u64;
-        let ood = selections.iter().filter(|s| s.out_of_distribution).count() as u64;
-        let fallbacks = if fall_back {
-            selections.len() as u64
-        } else {
-            0
-        };
-        self.monitor
-            .record_batch(selections.len() as u64, probed, ood, fallbacks);
-        self.note_fallback_transition(fall_back);
         let sampled = trace.filter(|ctx| ctx.sampled && ctx.trace_id != 0);
         if let Some(sink) = &self.trace {
             sink.record_batch_traced(
@@ -371,8 +394,8 @@ impl VectorService {
                 )
                 .annotate("revision", self.artifact.revision)
                 .annotate("batch", vectors.len())
-                .annotate("probed", probed)
-                .annotate("fallback", fall_back)
+                .annotate("probed", zs.len())
+                .annotate("fallback", selections.first().is_some_and(|s| s.fell_back))
                 .annotate("drift", format!("{:.4}", self.trip_rate()))
                 .lasting(duration),
             );
@@ -416,20 +439,53 @@ mod tests {
     }
 
     #[test]
-    fn batched_vector_selection_is_worker_count_invariant() {
+    fn lazy_extraction_matches_vector_selection_at_sparse_probing() {
+        // At `probe_every: 4` three of every four inputs take the lazy
+        // path (`classify_lazy` over `Benchmark::extract`), while the
+        // vector path classifies every input from its full vector. Both
+        // must answer and count identically — with ordinary drift and
+        // through a forced-drift trip (a negative radius bound makes
+        // every probe OOD: the first batch trips, the next falls back).
+        let inputs = synthetic_corpus(30, 11);
+        let vs = vectors(30, 11);
+        let artifact = ModelArtifact::export(&Synthetic, &train_synthetic());
+        for radius_factor in [1.5, -1.0] {
+            let opts = ServeOptions {
+                probe_every: 4,
+                radius_factor,
+                min_observations: 8,
+                ..ServeOptions::default()
+            };
+            let bound = SelectorService::new(&Synthetic, artifact.clone(), opts.clone()).unwrap();
+            let vector = VectorService::new(artifact.clone(), opts).unwrap();
+            for round in 0..3 {
+                let at = format!("radius {radius_factor}, round {round}");
+                let expected = bound.select_batch(&inputs);
+                let got = vector.select_vector_batch(&vs).unwrap();
+                // `Debug` prints each cost's shortest round-trip form:
+                // equal text means equal bits.
+                assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{at}");
+                assert_eq!(vector.stats(), bound.stats(), "{at}");
+            }
+            assert_eq!(bound.stats().probed, 3 * 8, "30 inputs probe 8 per batch");
+            assert_eq!(bound.fallback_active(), radius_factor < 0.0);
+            assert_eq!(
+                bound.stats().fallbacks,
+                if radius_factor < 0.0 { 60 } else { 0 }
+            );
+        }
+    }
+
+    #[test]
+    fn batched_vector_selection_matches_sequential() {
         let vs = vectors(40, 3);
         let serial = vector_service(ServeOptions::default());
         let expected: Vec<Selection> = vs
             .iter()
             .map(|fv| serial.select_vector(fv).unwrap())
             .collect();
-        for threads in [1, 4] {
-            let svc = vector_service(ServeOptions {
-                threads,
-                ..ServeOptions::default()
-            });
-            assert_eq!(svc.select_vector_batch(&vs).unwrap(), expected, "{threads}");
-        }
+        let svc = vector_service(ServeOptions::default());
+        assert_eq!(svc.select_vector_batch(&vs).unwrap(), expected);
     }
 
     #[test]
