@@ -725,7 +725,7 @@ impl FrameReader {
     /// and `Interrupted` is retried. Growth is incremental and capped —
     /// with a frame in flight the buffer extends toward that frame's
     /// end, at most one [`READ_CHUNK_BYTES`] boundary at a time;
-    /// otherwise one [`READ_FLOOR_BYTES`] step.
+    /// otherwise one `READ_FLOOR_BYTES` step.
     ///
     /// # Errors
     /// Returns [`Error::Wire`] for a buffered foreign version or

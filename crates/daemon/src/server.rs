@@ -11,7 +11,7 @@
 //! up hits the queue cap and is disconnected with a typed error — the
 //! backpressure answer that keeps the loop's memory bounded.
 //!
-//! The daemon is **multi-tenant**: an [`crate::registry::ArtifactRegistry`]
+//! The daemon is **multi-tenant**: an `ArtifactRegistry`
 //! maps benchmark name → tenant, each tenant owning a primary
 //! [`VectorService`], at most one staged shadow, and its own request
 //! journal. `Hello { benchmark }` binds a connection to a tenant;

@@ -4,7 +4,7 @@
 //! Lesoil et al.'s interaction study is the motivation: configuration
 //! quality shifts with the input distribution, so a retrained artifact
 //! must be compared against production traffic *before* it answers a
-//! single client. A staged [`ShadowState`] receives a mirror of every
+//! single client. A staged `ShadowState` receives a mirror of every
 //! `SelectBatch`, records per-landmark agreement with the primary's
 //! served answers, and runs its own drift monitor over the mirrored
 //! stream. Promotion is gated on that record ([`ShadowPolicy`]); a shadow

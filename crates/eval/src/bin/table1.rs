@@ -60,6 +60,8 @@ fn main() {
     ]];
 
     let mut training = None;
+    // Level-2 induction work summed over the cases run.
+    let (mut trees_fitted, mut split_scans, mut split_scans_computed) = (0, 0, 0);
     for case in TestCase::all() {
         if let Some(only) = &args.only {
             if !case.name().contains(only.as_str()) {
@@ -68,6 +70,9 @@ fn main() {
         }
         let outcome = run_case_full(case, &cfg, &engine, &run).expect("suite case failed");
         training = Some(outcome.stats);
+        trees_fitted += outcome.stats.trees_fitted;
+        split_scans += outcome.stats.split_scans;
+        split_scans_computed += outcome.stats.split_scans_computed;
         let r = &outcome.row;
         println!(
             "{:<12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>7.1}% {:>7.1}% {:>7.1}% {:>8.1}%  {}",
@@ -105,13 +110,18 @@ fn main() {
              matrix cells requested, {} fresh runs after memoization \
              ({} cache hits, {:.1}% hit rate); an exhaustive per-input \
              search would cost ~{:.0}x more tuner work (paper: 'over 200 \
-             times longer')",
+             times longer'); level 2 over all cases run: {} subset trees \
+             fitted, {} split scans requested, {} computed ({:.1}% shared)",
             s.tuner_evaluations,
             s.measurement_runs,
             s.measured_runs,
             s.cache_hits,
             100.0 * s.cache_hit_rate(),
-            s.exhaustive_ratio()
+            s.exhaustive_ratio(),
+            trees_fitted,
+            split_scans,
+            split_scans_computed,
+            100.0 * (split_scans - split_scans_computed) as f64 / split_scans.max(1) as f64
         );
     }
     println!(

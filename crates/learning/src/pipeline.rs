@@ -61,6 +61,13 @@ pub struct TrainingStats {
     pub inputs: usize,
     /// Number of landmarks (clusters).
     pub clusters: usize,
+    /// Level-2 subset trees fitted, over every fold and cost matrix.
+    pub trees_fitted: usize,
+    /// Column scans the subset trees requested at their nodes.
+    pub split_scans: usize,
+    /// Column scans actually computed; the rest were shared through the
+    /// per-fold split memo.
+    pub split_scans_computed: usize,
 }
 
 impl TrainingStats {
@@ -183,7 +190,7 @@ where
     let sel_perf = level1.perf.select_inputs(&sel_idx);
 
     let defs = benchmark.properties();
-    let mut candidates = train_candidates(
+    let (mut candidates, mut induction) = train_candidates(
         &fit_features,
         &fit_labels,
         level1.landmarks.len(),
@@ -200,7 +207,7 @@ where
     // the same search, done per candidate.)
     if threshold.is_some() {
         let cm_safe = cost_matrix(&level1.perf, &labels, threshold, opts.lambda * 8.0);
-        let safe = train_candidates(
+        let (safe, safe_induction) = train_candidates(
             &fit_features,
             &fit_labels,
             level1.landmarks.len(),
@@ -208,6 +215,7 @@ where
             &defs,
             &opts.selection,
         );
+        induction += safe_induction;
         candidates.extend(safe.into_iter().filter_map(|mut c| {
             if c.classifier.kind() == "subset-tree" {
                 c.name = format!("{}@safe", c.name);
@@ -235,6 +243,9 @@ where
         cache_hits: cache_stats.hits as usize,
         inputs: inputs.len(),
         clusters: level1.landmarks.len(),
+        trees_fitted: induction.trees_fitted,
+        split_scans: induction.split_scans,
+        split_scans_computed: induction.split_scans_computed,
     };
 
     Ok(TwoLevelResult {
@@ -925,6 +936,48 @@ mod tests {
             "more landmarks cannot hurt: {all} vs {one}"
         );
         assert!(all > 1.2, "full subset should show speedup, got {all}");
+    }
+
+    #[test]
+    fn learns_from_corpora_too_small_to_cross_validate() {
+        // With the default 30% selection slice, one or two inputs leave
+        // fewer than two to fit on: no subset trees, but a classifier.
+        let b = Synthetic;
+        for n in 1..=4 {
+            let result = learn(
+                &b,
+                &corpus(n, 0),
+                &TwoLevelOptions::default(),
+                &Engine::serial(),
+            )
+            .unwrap_or_else(|e| panic!("{n} inputs: {e}"));
+            let fit = n - (n as f64 * 0.3).round() as usize;
+            let trees = result
+                .candidates
+                .iter()
+                .filter(|c| c.classifier.kind() == "subset-tree")
+                .count();
+            assert_eq!(trees > 0, fit >= 2, "{n} inputs");
+            assert!(result.chosen < result.candidates.len(), "{n} inputs");
+        }
+    }
+
+    #[test]
+    fn level2_work_counts_are_deterministic() {
+        let b = Synthetic;
+        let train = corpus(60, 0);
+        let stats = learn(&b, &train, &options(), &Engine::serial())
+            .unwrap()
+            .stats;
+        // 3^2 - 1 = 8 subsets × 3 folds × 2 cost matrices (base λ and the
+        // accuracy-conservative 8λ).
+        assert_eq!(stats.trees_fitted, 8 * 3 * 2);
+        assert!(stats.split_scans_computed <= stats.split_scans);
+        assert!(stats.split_scans_computed > 0);
+        let again = learn(&b, &train, &options(), &Engine::serial())
+            .unwrap()
+            .stats;
+        assert_eq!(again, stats);
     }
 
     #[test]

@@ -9,11 +9,20 @@
 //! configuration **plus** the feature-extraction cost actually incurred —
 //! subject to the satisfaction threshold (≥ H2 of inputs must meet the
 //! accuracy threshold H1).
+//!
+//! The subset trees are cross-validated with folds as the outer loop and
+//! subsets inside it. Each fold builds one `intune_ml` [`TreeFamily`] over
+//! its training rows and every feature column, so subsets that share a
+//! column share its split scans, and drops the family's split memo when
+//! the fold is done. Each subset still sums its held-out costs in fold
+//! order and keeps its first-best fold tree, so every candidate is the one
+//! a separate fit per subset and fold would give; with fewer than two
+//! fitting inputs there is nothing to cross-validate and no subset trees.
 
 use crate::classifiers::{train_incremental, Classifier};
 use crate::perf::PerfMatrix;
-use intune_core::{FeatureDef, FeatureSample, FeatureSet, FeatureVector};
-use intune_ml::{DecisionTree, KFold, TreeOptions};
+use intune_core::{FeatureDef, FeatureId, FeatureSample, FeatureSet, FeatureVector};
+use intune_ml::{DecisionTree, InductionStats, KFold, TreeFamily, TreeOptions};
 
 /// Options for candidate training and selection.
 #[derive(Debug, Clone)]
@@ -69,7 +78,8 @@ pub fn samples_for(fv: &FeatureVector, set: &FeatureSet) -> Vec<FeatureSample> {
         .collect()
 }
 
-/// Trains the full candidate family.
+/// Trains the full candidate family, and counts the subset trees' induction
+/// work.
 ///
 /// # Panics
 /// Panics if `features`/`labels` are empty or lengths mismatch.
@@ -80,7 +90,7 @@ pub fn train_candidates(
     cost_matrix: &[Vec<f64>],
     defs: &[FeatureDef],
     opts: &SelectionOptions,
-) -> Vec<Candidate> {
+) -> (Vec<Candidate>, InductionStats) {
     assert!(!features.is_empty(), "no training features");
     assert_eq!(features.len(), labels.len(), "features/labels mismatch");
     let n = features.len();
@@ -146,42 +156,23 @@ pub fn train_candidates(
         subsets = kept;
     }
 
-    let folds = opts.folds.clamp(2, n);
-    let kfold = KFold::new(n, folds, opts.seed);
+    // With fewer than two fitting inputs there is nothing to
+    // cross-validate, so there are no subset trees.
+    let (trees, stats) = if n >= 2 {
+        cross_validate_subsets(
+            features,
+            labels,
+            num_classes,
+            cost_matrix,
+            defs,
+            subsets,
+            opts,
+        )
+    } else {
+        (Vec::new(), InductionStats::default())
+    };
     let mut best_subset: Option<(f64, FeatureSet)> = None;
-
-    for set in subsets {
-        let x: Vec<Vec<f64>> = features
-            .iter()
-            .map(|fv| {
-                set.iter()
-                    .map(|id| fv.get(id).expect("extracted").value)
-                    .collect()
-            })
-            .collect();
-
-        // 10-fold CV: keep the per-fold tree that generalizes best, and
-        // record the subset's mean held-out cost.
-        let mut best_fold: Option<(f64, DecisionTree)> = None;
-        let mut cost_sum = 0.0;
-        for (train_idx, test_idx) in kfold.splits() {
-            let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| x[i].clone()).collect();
-            let ty: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
-            let tree = DecisionTree::fit(&tx, &ty, num_classes, cost_matrix, opts.tree);
-            let mut held_out = 0.0;
-            for &i in test_idx {
-                let pred = tree.predict(&x[i]);
-                held_out += cost_matrix[labels[i]][pred];
-            }
-            let held_out = held_out / test_idx.len().max(1) as f64;
-            cost_sum += held_out;
-            if best_fold.as_ref().is_none_or(|(c, _)| held_out < *c) {
-                best_fold = Some((held_out, tree));
-            }
-        }
-        let cv_cost = cost_sum / folds as f64;
-        let (_, tree) = best_fold.expect("at least one fold");
-
+    for (set, tree, cv_cost) in trees {
         if best_subset.as_ref().is_none_or(|(c, _)| cv_cost < *c) {
             best_subset = Some((cv_cost, set.clone()));
         }
@@ -244,7 +235,85 @@ pub fn train_candidates(
         });
     }
 
-    candidates
+    (candidates, stats)
+}
+
+/// Cross-validates every subset's tree, folds outer (see the module
+/// docs). Returns, per subset in order, the fold tree with the lowest
+/// held-out cost (the first on ties) and the mean held-out cost.
+fn cross_validate_subsets(
+    features: &[FeatureVector],
+    labels: &[usize],
+    num_classes: usize,
+    cost_matrix: &[Vec<f64>],
+    defs: &[FeatureDef],
+    subsets: Vec<FeatureSet>,
+    opts: &SelectionOptions,
+) -> (Vec<(FeatureSet, DecisionTree, f64)>, InductionStats) {
+    let n = features.len();
+    // The family's columns: every declared feature.
+    let ids: Vec<FeatureId> = defs
+        .iter()
+        .enumerate()
+        .flat_map(|(property, d)| (0..d.levels).map(move |level| FeatureId { property, level }))
+        .collect();
+    let values: Vec<Vec<f64>> = features
+        .iter()
+        .map(|fv| {
+            ids.iter()
+                .map(|&id| fv.get(id).expect("extracted").value)
+                .collect()
+        })
+        .collect();
+    let subset_columns: Vec<Vec<usize>> = subsets
+        .iter()
+        .map(|set| {
+            set.iter()
+                .map(|id| ids.iter().position(|&c| c == id).expect("declared feature"))
+                .collect()
+        })
+        .collect();
+
+    let folds = opts.folds.clamp(2, n);
+    let kfold = KFold::new(n, folds, opts.seed);
+    let mut cost_sums = vec![0.0; subsets.len()];
+    let mut best_fold: Vec<Option<(f64, DecisionTree)>> = vec![None; subsets.len()];
+    let mut stats = InductionStats::default();
+    let mut row = Vec::new();
+    for (train_idx, test_idx) in kfold.splits() {
+        let columns = (0..ids.len())
+            .map(|c| train_idx.iter().map(|&i| values[i][c]).collect())
+            .collect();
+        let train_labels = train_idx.iter().map(|&i| labels[i]).collect();
+        let mut family =
+            TreeFamily::new(columns, train_labels, num_classes, cost_matrix, opts.tree);
+        for (s, cols) in subset_columns.iter().enumerate() {
+            let tree = family.fit(cols);
+            let mut held_out = 0.0;
+            for &i in test_idx {
+                row.clear();
+                row.extend(cols.iter().map(|&c| values[i][c]));
+                held_out += cost_matrix[labels[i]][tree.predict(&row)];
+            }
+            let held_out = held_out / test_idx.len().max(1) as f64;
+            cost_sums[s] += held_out;
+            if best_fold[s].as_ref().is_none_or(|(c, _)| held_out < *c) {
+                best_fold[s] = Some((held_out, tree));
+            }
+        }
+        stats += family.stats();
+    }
+
+    let trees = subsets
+        .into_iter()
+        .zip(best_fold)
+        .zip(cost_sums)
+        .map(|((set, best), cost_sum)| {
+            let (_, tree) = best.expect("at least one fold");
+            (set, tree, cost_sum / folds as f64)
+        })
+        .collect();
+    (trees, stats)
 }
 
 fn subset_signature(set: &FeatureSet) -> String {
@@ -432,7 +501,7 @@ mod tests {
             vec![1.0, 0.0, 1.0],
             vec![1.0, 1.0, 0.0],
         ];
-        let cands = train_candidates(&features, &labels, 3, &cm, &defs, &opts());
+        let (cands, _) = train_candidates(&features, &labels, 3, &cm, &defs, &opts());
         // 1 max-apriori + (2+1)*(2+1)-1 = 8 subsets + >=1 incremental.
         assert!(cands.iter().any(|c| c.classifier.kind() == "max-apriori"));
         assert_eq!(
@@ -453,7 +522,7 @@ mod tests {
             vec![1.0, 0.0, 1.0],
             vec![1.0, 1.0, 0.0],
         ];
-        let cands = train_candidates(&features, &labels, 3, &cm, &defs, &opts());
+        let (cands, _) = train_candidates(&features, &labels, 3, &cm, &defs, &opts());
         let (best, scores) =
             select_production(&cands, &features, &perf, &features, &perf, None, 0.95);
         let chosen = &cands[best];
@@ -504,7 +573,7 @@ mod tests {
         }
         let perf = PerfMatrix::from_reports(rows);
         let cm = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        let cands = train_candidates(&features, &labels, 2, &cm, &defs, &opts());
+        let (cands, _) = train_candidates(&features, &labels, 2, &cm, &defs, &opts());
         let (best, _) = select_production(&cands, &features, &perf, &features, &perf, None, 0.95);
         assert_eq!(cands[best].classifier.kind(), "max-apriori");
     }
@@ -533,7 +602,7 @@ mod tests {
         }
         let perf = PerfMatrix::from_reports(rows);
         let cm = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        let cands = train_candidates(&features, &labels, 2, &cm, &defs, &opts());
+        let (cands, _) = train_candidates(&features, &labels, 2, &cm, &defs, &opts());
         let (best, scores) =
             select_production(&cands, &features, &perf, &features, &perf, Some(0.9), 0.95);
         // Every classifier trained on those labels predicts 0 (inaccurate);
@@ -542,8 +611,9 @@ mod tests {
         assert!(!scores[best].valid || scores[best].satisfaction >= 0.95);
     }
 
-    #[test]
-    fn subset_thinning_respects_cap() {
+    /// `toy()` widened to the paper's 4 properties × 3 levels, each
+    /// feature a copy of a toy feature (so columns tie).
+    fn wide_toy() -> (Vec<FeatureVector>, Vec<usize>, Vec<FeatureDef>) {
         let (features, labels, _, _) = toy();
         let defs = vec![
             FeatureDef::new("a", 3),
@@ -551,7 +621,6 @@ mod tests {
             FeatureDef::new("c", 3),
             FeatureDef::new("d", 3),
         ];
-        // Re-shape features for 4 props x 3 levels.
         let mut wide = Vec::new();
         for fv_old in &features {
             let mut fv = FeatureVector::empty(&defs);
@@ -575,6 +644,87 @@ mod tests {
             }
             wide.push(fv);
         }
+        (wide, labels, defs)
+    }
+
+    /// The subset tree and cross-validation cost of `set`, fitted the
+    /// way a learner without tree families would: one
+    /// `DecisionTree::fit` per fold of this subset alone.
+    fn separate_fit(
+        features: &[FeatureVector],
+        labels: &[usize],
+        cm: &[Vec<f64>],
+        set: &FeatureSet,
+        opts: &SelectionOptions,
+    ) -> (DecisionTree, f64) {
+        let x: Vec<Vec<f64>> = features
+            .iter()
+            .map(|fv| set.iter().map(|id| fv.get(id).unwrap().value).collect())
+            .collect();
+        let folds = opts.folds.clamp(2, features.len());
+        let mut best: Option<(f64, DecisionTree)> = None;
+        let mut cost_sum = 0.0;
+        for (train_idx, test_idx) in KFold::new(features.len(), folds, opts.seed).splits() {
+            let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| x[i].clone()).collect();
+            let ty: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
+            let tree = DecisionTree::fit(&tx, &ty, cm.len(), cm, opts.tree);
+            let held_out = test_idx
+                .iter()
+                .map(|&i| cm[labels[i]][tree.predict(&x[i])])
+                .sum::<f64>()
+                / test_idx.len() as f64;
+            cost_sum += held_out;
+            if best.as_ref().is_none_or(|(c, _)| held_out < *c) {
+                best = Some((held_out, tree));
+            }
+        }
+        (best.unwrap().1, cost_sum / folds as f64)
+    }
+
+    #[test]
+    fn subset_trees_match_separate_fits() {
+        let (features, labels, _, defs) = toy();
+        let (wide, _, wide_defs) = wide_toy();
+        // The toy labels, and the same with every 7th input mislabeled so
+        // that trees grow past their first split.
+        let noisy: Vec<usize> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| if i % 7 == 0 { (l + 1) % 3 } else { l })
+            .collect();
+        let cm = vec![
+            vec![0.0, 1.0, 4.0],
+            vec![2.0, 0.0, 1.0],
+            vec![1.0, 3.0, 0.0],
+        ];
+        for (features, defs, subsets) in [(&features, &defs, 8), (&wide, &wide_defs, 255)] {
+            for labels in [&labels, &noisy] {
+                let (cands, stats) = train_candidates(features, labels, 3, &cm, defs, &opts());
+                let mut trees = 0;
+                for cand in &cands {
+                    let Classifier::Tree { set, tree } = &cand.classifier else {
+                        continue;
+                    };
+                    let (expected, cv_cost) = separate_fit(features, labels, &cm, set, &opts());
+                    assert_eq!(
+                        format!("{tree:?}"),
+                        format!("{expected:?}"),
+                        "{}",
+                        cand.name
+                    );
+                    assert_eq!(cand.cv_cost.to_bits(), cv_cost.to_bits(), "{}", cand.name);
+                    trees += 1;
+                }
+                assert_eq!(trees, subsets);
+                assert_eq!(stats.trees_fitted, subsets * 3);
+                assert!(stats.split_scans_computed < stats.split_scans);
+            }
+        }
+    }
+
+    #[test]
+    fn subset_thinning_respects_cap() {
+        let (wide, labels, defs) = wide_toy();
         let cm = vec![
             vec![0.0, 1.0, 1.0],
             vec![1.0, 0.0, 1.0],
@@ -585,7 +735,7 @@ mod tests {
             folds: 2,
             ..SelectionOptions::default()
         };
-        let cands = train_candidates(&wide, &labels, 3, &cm, &defs, &o);
+        let (cands, _) = train_candidates(&wide, &labels, 3, &cm, &defs, &o);
         let trees = cands
             .iter()
             .filter(|c| c.classifier.kind() == "subset-tree")

@@ -1,6 +1,6 @@
 //! Array-indexed decision-tree inference.
 //!
-//! A fitted [`DecisionTree`](crate::DecisionTree) stores its nodes as a
+//! A fitted [`DecisionTree`] stores its nodes as a
 //! boxed recursive enum — ideal for induction and serialization, terrible
 //! for the serving hot path, where every split dereferences a fresh heap
 //! pointer. [`FlatTree`] re-packs the same tree into a contiguous
@@ -29,7 +29,7 @@ struct FlatNode {
     threshold: f64,
 }
 
-/// A [`DecisionTree`](crate::DecisionTree) compiled to a pre-order node
+/// A [`DecisionTree`] compiled to a pre-order node
 /// array for allocation-free, pointer-chase-free prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatTree {

@@ -33,7 +33,7 @@ pub mod pca;
 pub mod stats;
 
 pub use crossval::KFold;
-pub use decision_tree::{DecisionTree, TreeOptions};
+pub use decision_tree::{DecisionTree, InductionStats, TreeFamily, TreeOptions};
 pub use flat_tree::FlatTree;
 pub use kmeans::{KMeans, KMeansOptions};
 pub use naive_bayes::{IncrementalPosterior, NaiveBayes};

@@ -5,7 +5,7 @@
 //! artifact revision answered. A [`Span`] is one timed operation inside
 //! a trace ([`intune_core::TraceContext`] names the trace); spans from
 //! every process append to a crash-tolerant [`SpanLog`] — the same
-//! checksummed-frame + torn-tail discipline as the [`EventLog`]
+//! checksummed-frame + torn-tail discipline as the [`EventLog`](crate::EventLog)
 //! (schema `intune-obs-span` v1), equally best-effort-infallible on the
 //! record path.
 //!

@@ -238,7 +238,7 @@ pub struct RecordingCompaction {
 /// rather than by sequence.
 ///
 /// # Errors
-/// Returns [`Error::Artifact`](intune_core::Error::Artifact) on
+/// Returns [`Error::Artifact`] on
 /// unreadable segments.
 pub fn compact_recording(dir: &Path, corpus: &mut CorpusStore) -> Result<RecordingCompaction> {
     let mut report = RecordingCompaction::default();
