@@ -22,10 +22,13 @@
 //! Framed records ([`encode_record`]) store that canonical print itself
 //! as the payload bytes, so [`scan_records`] verifies the checksum over
 //! the stored bytes and parses only the payload; a body in any other
-//! layout is read through [`decode_document`].
+//! layout is read through [`decode_document`]. [`scan_records_with`]
+//! walks the same frames but hands each verified payload over as text,
+//! for a reader that parses only what it keeps.
 
 use crate::error::{Error, Result};
 use serde_json::Value;
+use std::borrow::Cow;
 use std::path::Path;
 
 /// 64-bit FNV-1a over a byte stream (the workspace's one checksum
@@ -236,29 +239,26 @@ pub fn encode_record(schema: &str, version: u32, payload: Value) -> Result<Vec<u
     Ok(out)
 }
 
-/// Reads a body in exactly the layout [`encode_record`] writes (`head`
-/// is [`record_head`] for the expected schema and version) whose stored
-/// payload bytes hash to its checksum, parsing only the payload. `None`
-/// for any other body: the caller then reads it with
+/// The stored payload text of a body in exactly the layout
+/// [`encode_record`] writes (`head` is [`record_head`] for the expected
+/// schema and version), provided those bytes hash to the body's checksum.
+/// `None` for any other body: the caller then reads it with
 /// [`decode_document`], which accepts or rejects it on its own terms.
-fn decode_record_body(text: &str, head: &str) -> Option<Value> {
+fn record_payload<'t>(text: &'t str, head: &str) -> Option<&'t str> {
     let rest = text.strip_prefix(head)?;
     let digits = rest.get(..16)?;
     let payload = rest[16..]
         .strip_prefix(RECORD_PAYLOAD_KEY)?
         .strip_suffix('}')?;
-    if digits != checksum_digits(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
+    (digits == checksum_digits(payload.as_bytes())).then_some(payload)
 }
 
 /// Outcome of scanning a stream of framed records that may end in a torn
 /// tail (a crash mid-append).
 #[derive(Debug)]
-pub struct RecordScan {
+pub struct RecordScan<T = Value> {
     /// Every complete, checksum-verified record payload, in order.
-    pub records: Vec<Value>,
+    pub records: Vec<T>,
     /// Bytes consumed by the complete records (the offset a recovery
     /// writer could safely truncate to).
     pub consumed: usize,
@@ -279,16 +279,47 @@ pub struct RecordScan {
 /// hash to its checksum, is read by [`decode_document`], so the verdict
 /// on it is that function's.
 pub fn scan_records(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
-    let head = record_head(schema, version);
-    scan_frames(bytes, |text| match decode_record_body(text, &head) {
-        Some(payload) => Ok(payload),
-        None => decode_document(text, schema, version),
+    scan_records_with(bytes, schema, version, |text| {
+        serde_json::from_str(&text).map_err(|e| Error::artifact(e.to_string()))
     })
 }
 
-/// The frame walk of [`scan_records`], reading each complete UTF-8 body
-/// with `decode`.
-fn scan_frames(bytes: &[u8], decode: impl Fn(&str) -> Result<Value>) -> RecordScan {
+/// [`scan_records`] with the payload reader supplied: each record's
+/// payload reaches `read` as JSON text, and `read` makes the record.
+///
+/// A body in the layout [`encode_record`] writes whose stored payload
+/// bytes hash to its checksum hands `read` those bytes, borrowed and
+/// unparsed. If `read` refuses them, or the body is in any other layout,
+/// the body is read by [`decode_document`] as in [`scan_records`], and
+/// `read` gets the canonical print of its payload instead. So when `read`
+/// accepts exactly the texts `serde_json::from_str::<Value>` accepts,
+/// this scan accepts the same records, consumes the same bytes and types
+/// the same torn tail as [`scan_records`].
+pub fn scan_records_with<'a, T>(
+    bytes: &'a [u8],
+    schema: &str,
+    version: u32,
+    mut read: impl FnMut(Cow<'a, str>) -> Result<T>,
+) -> RecordScan<T> {
+    let head = record_head(schema, version);
+    scan_frames(bytes, |text| {
+        if let Some(record) =
+            record_payload(text, &head).and_then(|payload| read(Cow::Borrowed(payload)).ok())
+        {
+            return Ok(record);
+        }
+        let payload = decode_document(text, schema, version)?;
+        read(Cow::Owned(
+            serde_json::to_string(&payload).expect("value printing is infallible"),
+        ))
+    })
+}
+
+/// The one frame walk: reads each complete UTF-8 body with `decode`.
+fn scan_frames<'a, T>(
+    bytes: &'a [u8],
+    mut decode: impl FnMut(&'a str) -> Result<T>,
+) -> RecordScan<T> {
     let mut records = Vec::new();
     let mut at = 0usize;
     let torn = loop {
@@ -324,7 +355,7 @@ fn scan_frames(bytes: &[u8], decode: impl Fn(&str) -> Result<Value>) -> RecordSc
             }
         };
         match decode(text) {
-            Ok(payload) => records.push(payload),
+            Ok(record) => records.push(record),
             Err(e) => break Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
         }
         at += 4 + len;
@@ -670,6 +701,12 @@ mod tests {
                 assert_eq!(decode_record_body(body, &head), Some(payload));
             }
         }
+    }
+
+    /// [`scan_records`]' reading of a body in the writer's layout: the
+    /// checksum-verified stored payload, parsed.
+    fn decode_record_body(text: &str, head: &str) -> Option<Value> {
+        serde_json::from_str(record_payload(text, head)?).ok()
     }
 
     /// [`scan_records`] as it was before it read bodies in the writer's

@@ -35,7 +35,7 @@ use intune_exec::Engine;
 use intune_learning::TwoLevelOptions;
 use intune_retrain::{
     compact_journal, compact_recording, retrain_from_corpus, run_cycle, AdmissionPolicy,
-    CorpusStore, CycleOutcome, RetrainConfig, RetrainPolicy,
+    CompactionReport, CorpusStore, CycleOutcome, RetrainConfig, RetrainPolicy,
 };
 use intune_serve::ModelArtifact;
 use std::path::PathBuf;
@@ -124,6 +124,14 @@ fn exit_code(outcome: Result<i32>) -> i32 {
     }
 }
 
+/// What one journal compaction did, as the cycle and dry-run logs print it.
+fn compaction_line(c: &CompactionReport) -> String {
+    format!(
+        "compacted {} records from {} segments ({} new, {} merged, {} payloads parsed)",
+        c.records, c.segments, c.added, c.merged, c.payloads_parsed
+    )
+}
+
 /// The suite scale the artifact, base corpus, and replay corpus share.
 fn suite_config(scale: &str, seed: u64) -> SuiteConfig {
     let mut cfg = match scale {
@@ -196,7 +204,8 @@ impl CaseVisitor for RunVisitor<'_> {
                 if let Some(journal) = &args.journal {
                     // In-memory compaction only: a dry run never mutates
                     // the on-disk corpus or the journal.
-                    compact_journal(journal, &mut corpus)?;
+                    let compaction = compact_journal(journal, &mut corpus)?;
+                    eprintln!("journal: {}", compaction_line(&compaction));
                 }
                 if let Some(recording) = &args.from_recording {
                     // A wire recording (the daemon's `--record` tap) is
@@ -272,14 +281,7 @@ impl CaseVisitor for RunVisitor<'_> {
                 let mut code = 0;
                 for i in 0..args.loops {
                     let report = run_cycle(benchmark, train, opts, engine, &cfg, &client)?;
-                    eprintln!(
-                        "cycle {}: compacted {} records from {} segments ({} new, {} merged)",
-                        i + 1,
-                        report.compaction.records,
-                        report.compaction.segments,
-                        report.compaction.added,
-                        report.compaction.merged
-                    );
+                    eprintln!("cycle {}: {}", i + 1, compaction_line(&report.compaction));
                     if let Some(trigger) = &report.trigger {
                         eprintln!("retrain trigger: {trigger}");
                     }

@@ -34,7 +34,7 @@ use intune_exec::{CostCache, Engine};
 use intune_learning::pipeline::{relearn_merged, TwoLevelResult};
 use intune_learning::TwoLevelOptions;
 use intune_obs::{EventKind, EventLog};
-use intune_serve::{JournalRecord, ModelArtifact};
+use intune_serve::{journal, JournalRecord, LazyRecord, ModelArtifact};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -115,6 +115,10 @@ pub struct CompactionReport {
     pub stale: u64,
     /// Records rejected by the reservoir bound on arrival.
     pub rejected: u64,
+    /// Record payloads parsed: those of added entries and of payload
+    /// upgrades of known vectors. Every other payload is only checked
+    /// against the JSON grammar.
+    pub payloads_parsed: u64,
     /// Segments with a torn/corrupt tail (complete prefix still used).
     pub torn_segments: u64,
     /// Sealed segments fully absorbed and eligible for removal.
@@ -135,10 +139,15 @@ pub struct CompactionReport {
 /// sealed (non-active), fully-absorbed segments in `absorbed`; the caller
 /// decides deletion **after** persisting the corpus.
 ///
+/// Segments are read by the lazy scan
+/// ([`scan_segment`](intune_serve::journal::scan_segment)): every
+/// record's checksum and payload grammar are checked, but a payload is
+/// parsed only when the corpus keeps it (see [`CorpusStore::offer`]).
+///
 /// # Errors
 /// Returns [`Error::Artifact`] on unreadable segments.
 pub fn compact_journal(dir: &Path, corpus: &mut CorpusStore) -> Result<CompactionReport> {
-    compact_journal_impl(dir, corpus, false)
+    compact_segments(dir, corpus, false, journal::scan_segment)
 }
 
 /// [`compact_journal`] with cycle-evidence counting suppressed
@@ -149,22 +158,31 @@ pub fn compact_journal(dir: &Path, corpus: &mut CorpusStore) -> Result<Compactio
 /// # Errors
 /// Returns [`Error::Artifact`] on unreadable segments.
 pub fn compact_journal_quiet(dir: &Path, corpus: &mut CorpusStore) -> Result<CompactionReport> {
-    compact_journal_impl(dir, corpus, true)
+    compact_segments(dir, corpus, true, journal::scan_segment)
 }
 
-fn compact_journal_impl(
+/// The compaction loop, over the segment reader `scan` (the journal's
+/// own, [`journal::scan_segment`], except in the test that holds it
+/// against a full parse).
+fn compact_segments<S>(
     dir: &Path,
     corpus: &mut CorpusStore,
     quiet: bool,
-) -> Result<CompactionReport> {
+    scan: S,
+) -> Result<CompactionReport>
+where
+    S: for<'a> Fn(&Path, &'a [u8]) -> journal::SegmentScan<LazyRecord<'a>>,
+{
     let mut report = CompactionReport::default();
     if !dir.exists() {
         return Ok(report);
     }
-    let segments = intune_serve::journal::list_segments(dir)?;
+    let parsed_before = corpus.payloads_parsed();
+    let segments = journal::list_segments(dir)?;
     let last = segments.len().saturating_sub(1);
     for (i, path) in segments.iter().enumerate() {
-        let scan = intune_serve::journal::read_segment(path)?;
+        let bytes = journal::read_segment_bytes(path)?;
+        let scan = scan(path, &bytes);
         report.segments += 1;
         if scan.torn.is_some() {
             report.torn_segments += 1;
@@ -186,7 +204,7 @@ fn compact_journal_impl(
                 offer,
                 crate::corpus::Offer::Added | crate::corpus::Offer::Merged
             ) {
-                if let Some(id) = record.trace_id.filter(|&id| id != 0) {
+                if let Some(id) = record.record.trace_id.filter(|&id| id != 0) {
                     report.trace_ids.push(id);
                 }
             }
@@ -197,6 +215,7 @@ fn compact_journal_impl(
             report.absorbed.push(path.clone());
         }
     }
+    report.payloads_parsed = corpus.payloads_parsed() - parsed_before;
     report.trace_ids.sort_unstable();
     report.trace_ids.dedup();
     Ok(report)
@@ -269,7 +288,7 @@ pub fn compact_recording(dir: &Path, corpus: &mut CorpusStore) -> Result<Recordi
             };
             seq += 1;
             report.vectors += 1;
-            match corpus.offer_quiet(&record) {
+            match corpus.offer_quiet(&record.into()) {
                 crate::corpus::Offer::Added => report.added += 1,
                 crate::corpus::Offer::Merged => report.merged += 1,
                 crate::corpus::Offer::Rejected => report.rejected += 1,
@@ -653,7 +672,7 @@ mod tests {
     use super::*;
     use crate::testutil::{synthetic_corpus, train_options, Synthetic};
     use intune_serve::journal::{JournalOptions, JournalWriter};
-    use intune_serve::JournalRecord;
+    use proptest::prelude::*;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -719,6 +738,196 @@ mod tests {
         let after = compact_journal(&jdir, &mut corpus).unwrap();
         assert_eq!(after.segments, 1, "only the active segment remains");
         std::fs::remove_dir_all(&jdir).ok();
+    }
+
+    /// One journal record of a synthetic input, with or without its
+    /// payload.
+    fn synthetic_record(seq: u64, input: (usize, f64), payload: bool) -> JournalRecord {
+        let b = Synthetic;
+        JournalRecord {
+            seq,
+            revision: 0,
+            landmark: input.0 as u64,
+            out_of_distribution: seq.is_multiple_of(3),
+            fell_back: false,
+            features: b.extract_all(&input),
+            payload: payload.then(|| b.encode_input(&input)).flatten(),
+            trace_id: (seq % 4 == 1).then_some(seq + 100),
+        }
+    }
+
+    /// Writes `frames` as journal segments of `per_segment` frames each.
+    fn write_segments(dir: &Path, frames: &[Vec<u8>], per_segment: usize) {
+        std::fs::create_dir_all(dir).unwrap();
+        for (i, chunk) in frames.chunks(per_segment.max(1)).enumerate() {
+            std::fs::write(journal::segment_path(dir, i as u64), chunk.concat()).unwrap();
+        }
+    }
+
+    fn frame(record: &JournalRecord) -> Vec<u8> {
+        codec::encode_record(
+            journal::JOURNAL_SCHEMA,
+            journal::JOURNAL_VERSION,
+            serde_json::to_value(record),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn compaction_parses_only_the_payloads_the_corpus_keeps() {
+        let jdir = tmp("parsed");
+        let inputs = synthetic_corpus(9, 0);
+        // (input, payload): a duplicate of input 0, input 1 journaled
+        // bare twice and upgraded by its third record, then a stream of
+        // new inputs into a corpus of capacity 4, so the reservoir
+        // rejects some of them.
+        let plan = [
+            (0, true),
+            (0, true),
+            (1, false),
+            (1, false),
+            (2, true),
+            (1, true),
+            (1, true),
+            (3, true),
+            (4, true),
+            (5, true),
+            (6, true),
+            (7, false),
+            (8, true),
+        ];
+        let frames: Vec<Vec<u8>> = plan
+            .iter()
+            .enumerate()
+            .map(|(seq, &(i, payload))| frame(&synthetic_record(seq as u64, inputs[i], payload)))
+            .collect();
+        write_segments(&jdir, &frames, 4);
+
+        let mut corpus = CorpusStore::new(4);
+        let report = compact_journal(&jdir, &mut corpus).unwrap();
+        assert_eq!(report.records, 13);
+        assert_eq!((report.added, report.merged, report.rejected), (8, 4, 1));
+        // Seven distinct inputs first arrive with a payload (all but 1
+        // and 7); the reservoir rejects one of them, so six payloads are
+        // parsed on admission, plus input 1's upgrade. Duplicates and the
+        // rejected record are never parsed.
+        assert_eq!(report.payloads_parsed, 6 + 1);
+        assert_eq!(corpus.payloads_parsed(), 7);
+
+        let again = compact_journal(&jdir, &mut corpus).unwrap();
+        assert_eq!(again.stale, 13);
+        assert_eq!(again.payloads_parsed, 0, "stale records parse nothing");
+        std::fs::remove_dir_all(&jdir).ok();
+    }
+
+    /// [`journal::scan_segment`] as the full parse spells it: every record
+    /// through [`codec::scan_records`] and `from_value`, every payload
+    /// parsed (and printed back to text for the offer).
+    fn full_parse_scan<'a>(path: &Path, bytes: &'a [u8]) -> journal::SegmentScan<LazyRecord<'a>> {
+        let scan = codec::scan_records(bytes, journal::JOURNAL_SCHEMA, journal::JOURNAL_VERSION);
+        let mut records = Vec::new();
+        let mut torn = scan.torn;
+        for (i, value) in scan.records.iter().enumerate() {
+            match serde_json::from_value::<JournalRecord>(value) {
+                Ok(record) => records.push(LazyRecord::from(record)),
+                Err(e) => {
+                    torn = Some(Error::artifact(format!(
+                        "segment {} record {i} has an unexpected shape: {e}",
+                        path.display()
+                    )));
+                    break;
+                }
+            }
+        }
+        journal::SegmentScan {
+            records,
+            consumed: scan.consumed,
+            torn,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Compaction through the lazy scan and through a full parse of
+        /// every record gives equal reports and byte-identical corpora:
+        /// random journals with duplicates, payload upgrades, capacity
+        /// evictions and rejections, either admission policy, a torn
+        /// tail, records from a newer writer with an extra field named
+        /// like the payload, a re-sealed record whose payload breaks the
+        /// grammar, and a second, stale pass over the same segments.
+        #[test]
+        fn lazy_compaction_matches_the_full_parse(
+            plan in prop::collection::vec((0usize..12, 0u8..3, 0u8..4), 4..40),
+            per_segment in 2usize..8,
+            capacity in 2usize..16,
+            novelty in 0u8..2,
+            cut in 0usize..1 << 16,
+            broken in 0usize..64,
+        ) {
+            let jdir = tmp("lazy-vs-full");
+            let inputs = synthetic_corpus(12, 5);
+            let mut frames: Vec<Vec<u8>> = plan
+                .iter()
+                .enumerate()
+                .map(|(seq, &(i, payload, writer))| {
+                    let record = synthetic_record(seq as u64, inputs[i], payload > 0);
+                    if writer > 0 {
+                        return frame(&record);
+                    }
+                    // A newer writer's record: an unknown field ahead of
+                    // the payload whose name starts like it.
+                    let mut value = serde_json::to_value(&record);
+                    if let Value::Object(fields) = &mut value {
+                        fields.insert(0, ("payload_codec".into(), Value::String("v2".into())));
+                    }
+                    codec::encode_record(journal::JOURNAL_SCHEMA, journal::JOURNAL_VERSION, value)
+                        .unwrap()
+                })
+                .collect();
+            if let Some(frame) = frames.get_mut(broken) {
+                // A checksum-valid record whose payload is not JSON.
+                let record = synthetic_record(broken as u64, inputs[0], true);
+                let text = serde_json::to_string(&serde_json::to_value(&record))
+                    .unwrap()
+                    .replacen("\"payload\":[", "\"payload\":[1.5.2,", 1);
+                let body = format!(
+                    "{{\"schema\":\"{}\",\"version\":{},\"checksum\":\"fnv1a64:{:016x}\",\"payload\":{text}}}",
+                    journal::JOURNAL_SCHEMA,
+                    journal::JOURNAL_VERSION,
+                    codec::fnv1a64(text.as_bytes())
+                );
+                *frame = (body.len() as u32).to_be_bytes().to_vec();
+                frame.extend_from_slice(body.as_bytes());
+            }
+            write_segments(&jdir, &frames, per_segment);
+            // A torn tail on the active segment.
+            let active = journal::list_segments(&jdir).unwrap().pop().unwrap();
+            let bytes = std::fs::read(&active).unwrap();
+            std::fs::write(&active, &bytes[..cut % (bytes.len() + 1)]).unwrap();
+
+            let policy = [AdmissionPolicy::UniformHash, AdmissionPolicy::Novelty][novelty as usize];
+            let mut lazy = CorpusStore::new(capacity);
+            let mut full = CorpusStore::new(capacity);
+            lazy.set_admission_policy(policy);
+            full.set_admission_policy(policy);
+            for pass in ["first", "stale"] {
+                let got = compact_journal(&jdir, &mut lazy).unwrap();
+                let want = compact_segments(&jdir, &mut full, false, full_parse_scan).unwrap();
+                prop_assert_eq!(&got, &want, "{} pass", pass);
+                if pass == "stale" {
+                    prop_assert_eq!(got.payloads_parsed, 0);
+                }
+                lazy.save(&jdir.join("lazy.corpus.json")).unwrap();
+                full.save(&jdir.join("full.corpus.json")).unwrap();
+                prop_assert!(
+                    std::fs::read(jdir.join("lazy.corpus.json")).unwrap()
+                        == std::fs::read(jdir.join("full.corpus.json")).unwrap(),
+                    "{} pass: the corpora differ", pass
+                );
+            }
+            std::fs::remove_dir_all(&jdir).ok();
+        }
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //!   process, any thread count;
 //! * **streaming statistics** — Welford mean/variance plus min/max per
 //!   feature slot over *all* offered records (evicted ones included), so
-//!   the observed production distribution survives the down-sampling.
+//!   the observed production distribution survives the down-sampling;
+//! * **payloads parsed on keep** — a record arrives as a
+//!   [`LazyRecord`], its raw-input payload still text, and the payload is
+//!   parsed only for a new entry that survives the reservoir draw or an
+//!   upgrade of a payload-less entry. Duplicates, rejected and stale
+//!   records never pay for a parse.
 //!
 //! The store persists as one checksummed document
 //! (`intune-input-corpus/1`) and tracks **cycle evidence** — journaled
@@ -27,7 +32,7 @@
 //! [`RetrainPolicy`](crate::RetrainPolicy) decides on.
 
 use intune_core::{codec, Benchmark, Error, Result};
-use intune_serve::JournalRecord;
+use intune_serve::LazyRecord;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::HashMap;
@@ -194,6 +199,9 @@ pub struct CorpusStore {
     index: HashMap<u64, usize>,
     /// Runtime-only admission knob (see [`AdmissionPolicy`]).
     policy: AdmissionPolicy,
+    /// Payloads parsed by offers since this store was built or loaded
+    /// (runtime only, never persisted).
+    payloads_parsed: u64,
 }
 
 impl CorpusStore {
@@ -216,6 +224,7 @@ impl CorpusStore {
             },
             index: HashMap::new(),
             policy: AdmissionPolicy::default(),
+            payloads_parsed: 0,
         }
     }
 
@@ -238,6 +247,7 @@ impl CorpusStore {
             doc,
             index,
             policy: AdmissionPolicy::default(),
+            payloads_parsed: 0,
         })
     }
 
@@ -317,7 +327,11 @@ impl CorpusStore {
     /// and statistics semantics). Records whose sequence number was
     /// already absorbed are ignored ([`Offer::Stale`]), which makes
     /// re-compaction of a previously-seen segment idempotent.
-    pub fn offer(&mut self, record: &JournalRecord) -> Offer {
+    ///
+    /// The record's payload is parsed only when the corpus keeps it: for
+    /// a new entry that survives the reservoir draw, or to upgrade a
+    /// known vector's payload-less entry. No other payload is parsed.
+    pub fn offer(&mut self, record: &LazyRecord<'_>) -> Offer {
         self.offer_impl(record, false)
     }
 
@@ -329,11 +343,13 @@ impl CorpusStore {
     /// they must not masquerade as fresh production evidence — a
     /// drift-responsive policy fed its own echoes would retrain in a
     /// self-sustaining loop.
-    pub fn offer_quiet(&mut self, record: &JournalRecord) -> Offer {
+    pub fn offer_quiet(&mut self, record: &LazyRecord<'_>) -> Offer {
         self.offer_impl(record, true)
     }
 
-    fn offer_impl(&mut self, record: &JournalRecord, quiet: bool) -> Offer {
+    fn offer_impl(&mut self, lazy: &LazyRecord<'_>, quiet: bool) -> Offer {
+        let record = &lazy.record;
+        let has_payload = lazy.payload_text().is_some();
         if record.seq < self.doc.next_seq {
             return Offer::Stale;
         }
@@ -371,10 +387,11 @@ impl CorpusStore {
             let entry = &mut self.doc.entries[at];
             entry.count += 1;
             self.doc.deduped += 1;
-            if entry.payload.is_none() && record.payload.is_some() {
+            if entry.payload.is_none() && has_payload {
                 // A known vector finally arrived with its raw input: the
                 // corpus just gained a retrainable example.
-                entry.payload = record.payload.clone();
+                entry.payload = lazy.parse_payload();
+                self.payloads_parsed += 1;
                 if !quiet {
                     self.doc.new_since_cycle += 1;
                 }
@@ -392,9 +409,9 @@ impl CorpusStore {
             count: 1,
             landmark: record.landmark,
             features: record.features.clone(),
-            payload: record.payload.clone(),
+            // Filled in below once the entry survives the draw.
+            payload: None,
         };
-        let had_payload = entry.payload.is_some();
         self.index.insert(key, self.doc.entries.len());
         self.doc.entries.push(entry);
 
@@ -419,10 +436,22 @@ impl CorpusStore {
             }
             self.doc.evicted += 1;
         }
-        if had_payload && !quiet {
-            self.doc.new_since_cycle += 1;
+        if has_payload {
+            // An eviction shifts only earlier entries: the new one is last.
+            let entry = self.doc.entries.last_mut().expect("the new entry");
+            entry.payload = lazy.parse_payload();
+            self.payloads_parsed += 1;
+            if !quiet {
+                self.doc.new_since_cycle += 1;
+            }
         }
         Offer::Added
+    }
+
+    /// Payloads parsed by [`CorpusStore::offer`] and
+    /// [`CorpusStore::offer_quiet`] since this store was built or loaded.
+    pub fn payloads_parsed(&self) -> u64 {
+        self.payloads_parsed
     }
 
     /// The surviving entries, ascending by first observation.
@@ -597,8 +626,8 @@ mod tests {
         fv
     }
 
-    fn record(seq: u64, kind: f64, size: f64, ood: bool, payload: bool) -> JournalRecord {
-        JournalRecord {
+    fn record(seq: u64, kind: f64, size: f64, ood: bool, payload: bool) -> LazyRecord<'static> {
+        intune_serve::JournalRecord {
             seq,
             revision: 1,
             landmark: kind as u64,
@@ -608,6 +637,7 @@ mod tests {
             payload: payload.then(|| Value::Array(vec![Value::Float(kind), Value::Float(size)])),
             trace_id: None,
         }
+        .into()
     }
 
     #[test]

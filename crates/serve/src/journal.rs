@@ -17,10 +17,23 @@
 //! every `segment_max_records` records, so compaction can consume sealed
 //! segments while the daemon keeps appending to the active one.
 //!
+//! ## Reading
+//!
+//! There is one segment reader, [`scan_segment`]. It verifies every
+//! record's checksum over its stored bytes and parses every field but the
+//! raw-input payload, which it checks against the JSON grammar and hands
+//! over as text in a [`LazyRecord`]. Payloads are by far the bulk of a
+//! journal, and compaction keeps few of them, so a reader parses a
+//! payload only when it needs the value ([`LazyRecord::parse_payload`]).
+//! [`read_segment`] is that scan plus a parse of every payload, for
+//! readers that want whole [`JournalRecord`]s. Either way a record is
+//! accepted, and a tail reported torn, exactly as a full parse of every
+//! record would decide.
+//!
 //! ## Crash tolerance
 //!
 //! Appends are not atomic: a crash can leave a torn record at the end of
-//! the active segment. [`read_segment`] recovers every complete,
+//! the active segment. The scan recovers every complete,
 //! checksum-verified record and reports the torn tail as a **typed
 //! error** (never a panic, whatever the truncation offset — a property
 //! test pins this). On reopen, a writer never appends after a torn tail:
@@ -44,6 +57,7 @@ use crate::trace::TraceSink;
 use intune_core::{codec, Error, FeatureVector, Result};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -85,6 +99,53 @@ pub struct JournalRecord {
     pub trace_id: Option<u64>,
 }
 
+/// A journal record as [`scan_segment`] reads it: every field parsed
+/// except the raw-input payload, which stays JSON text until
+/// [`LazyRecord::parse_payload`] asks for the value. The text passed the
+/// JSON grammar when the record was scanned, so parsing it cannot fail.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LazyRecord<'a> {
+    /// The record, with `payload: None`; the payload travels beside it.
+    pub record: JournalRecord,
+    /// The payload's JSON text; `None` when the record carries no payload
+    /// (the field is absent or `null`).
+    payload: Option<Cow<'a, str>>,
+}
+
+impl LazyRecord<'_> {
+    /// The payload's JSON text, unparsed.
+    pub fn payload_text(&self) -> Option<&str> {
+        self.payload.as_deref()
+    }
+
+    /// Parses the payload (`None` when the record carries none).
+    pub fn parse_payload(&self) -> Option<Value> {
+        self.payload.as_deref().map(|text| {
+            serde_json::from_str(text).expect("scanned payloads passed the JSON grammar")
+        })
+    }
+
+    /// The whole record, payload parsed.
+    pub fn into_record(self) -> JournalRecord {
+        JournalRecord {
+            payload: self.parse_payload(),
+            ..self.record
+        }
+    }
+}
+
+/// A record built in memory, its payload printed to canonical text (a
+/// `null` payload is no payload, as on disk).
+impl From<JournalRecord> for LazyRecord<'static> {
+    fn from(mut record: JournalRecord) -> Self {
+        let payload =
+            record.payload.take().filter(|v| !v.is_null()).map(|v| {
+                Cow::Owned(serde_json::to_string(&v).expect("value printing is infallible"))
+            });
+        LazyRecord { record, payload }
+    }
+}
+
 /// Journal writer tunables.
 #[derive(Debug, Clone)]
 pub struct JournalOptions {
@@ -109,11 +170,15 @@ impl Default for JournalOptions {
     }
 }
 
-/// What [`read_segment`] recovered from one segment file.
+/// What a scan recovered from one segment file: [`JournalRecord`]s from
+/// [`read_segment`], [`LazyRecord`]s from [`scan_segment`].
 #[derive(Debug)]
-pub struct SegmentScan {
+pub struct SegmentScan<R = JournalRecord> {
     /// Every complete, checksum-verified record, in append order.
-    pub records: Vec<JournalRecord>,
+    pub records: Vec<R>,
+    /// Bytes spanned by the complete frames, including any after a record
+    /// of an unexpected shape (the frame walk's own offset).
+    pub consumed: usize,
     /// The typed error describing a torn or corrupt tail, if the file
     /// does not end exactly on a record boundary.
     pub torn: Option<Error>,
@@ -159,20 +224,47 @@ pub fn segment_index(path: &Path) -> Option<u64> {
         .ok()
 }
 
-/// Reads one segment, recovering every complete record and typing the
-/// torn tail (see the module docs). IO failure is the only hard error —
-/// truncation and corruption are reported in [`SegmentScan::torn`].
+/// Reads a segment file's bytes, for [`scan_segment`].
 ///
 /// # Errors
-/// Returns [`Error::Artifact`] when the file cannot be read at all.
-pub fn read_segment(path: &Path) -> Result<SegmentScan> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read segment {}: {e}", path.display())))?;
-    let scan = codec::scan_records(&bytes, JOURNAL_SCHEMA, JOURNAL_VERSION);
+/// Returns [`Error::Artifact`] when the file cannot be read.
+pub fn read_segment_bytes(path: &Path) -> Result<Vec<u8>> {
+    std::fs::read(path)
+        .map_err(|e| Error::artifact(format!("cannot read segment {}: {e}", path.display())))
+}
+
+/// Scans the bytes of segment `path` (the path only names it in errors),
+/// recovering every complete record with its payload left as text and
+/// typing the torn tail (see the module docs). Every record's checksum is
+/// verified over its stored bytes and every payload is checked against
+/// the JSON grammar, so the records, `consumed` and the torn-tail error
+/// are what [`codec::scan_records`] followed by a
+/// `serde_json::from_value::<JournalRecord>` of each record gives.
+pub fn scan_segment<'a>(path: &Path, bytes: &'a [u8]) -> SegmentScan<LazyRecord<'a>> {
+    let scan = codec::scan_records_with(bytes, JOURNAL_SCHEMA, JOURNAL_VERSION, |text| {
+        let (value, payload) = match text {
+            Cow::Borrowed(text) => {
+                let (value, raw) = raw_payload(text)?;
+                (value, raw.map(Cow::Borrowed))
+            }
+            Cow::Owned(text) => {
+                let (value, raw) = raw_payload(&text)?;
+                (value, raw.map(|raw| Cow::Owned(raw.to_owned())))
+            }
+        };
+        // A record that is not a `JournalRecord` is not a frame error:
+        // the walk goes on, and the first such record ends the scan below.
+        Ok(
+            serde_json::from_value::<JournalRecord>(&value).map(|record| LazyRecord {
+                record,
+                payload: payload.filter(|text| text != "null"),
+            }),
+        )
+    });
     let mut records = Vec::with_capacity(scan.records.len());
     let mut torn = scan.torn;
-    for (i, value) in scan.records.into_iter().enumerate() {
-        match serde_json::from_value::<JournalRecord>(&value) {
+    for (i, record) in scan.records.into_iter().enumerate() {
+        match record {
             Ok(record) => records.push(record),
             Err(e) => {
                 // A checksum-valid record with an alien shape: everything
@@ -185,7 +277,36 @@ pub fn read_segment(path: &Path) -> Result<SegmentScan> {
             }
         }
     }
-    Ok(SegmentScan { records, torn })
+    SegmentScan {
+        records,
+        consumed: scan.consumed,
+        torn,
+    }
+}
+
+/// A journal record's JSON with its `payload` field left as text.
+fn raw_payload(text: &str) -> Result<(Value, Option<&str>)> {
+    serde_json::from_str_raw_field(text, "payload").map_err(|e| Error::artifact(e.to_string()))
+}
+
+/// Reads one segment: [`scan_segment`] plus a parse of every payload.
+/// IO failure is the only hard error — truncation and corruption are
+/// reported in [`SegmentScan::torn`].
+///
+/// # Errors
+/// Returns [`Error::Artifact`] when the file cannot be read at all.
+pub fn read_segment(path: &Path) -> Result<SegmentScan> {
+    let bytes = read_segment_bytes(path)?;
+    let scan = scan_segment(path, &bytes);
+    Ok(SegmentScan {
+        records: scan
+            .records
+            .into_iter()
+            .map(LazyRecord::into_record)
+            .collect(),
+        consumed: scan.consumed,
+        torn: scan.torn,
+    })
 }
 
 /// The append side of the journal. Not thread-safe by itself — the
@@ -231,11 +352,12 @@ impl JournalWriter {
         // One backwards pass serves both resume questions: the newest
         // segment's scan decides whether it can be appended to, and the
         // newest segment holding any complete record fixes the next
-        // sequence number.
+        // sequence number. Neither needs a payload parsed.
         let mut next_seq = 0u64;
         let mut active: Option<(u64, usize, bool)> = None;
         for (i, path) in segments.iter().enumerate().rev() {
-            let scan = read_segment(path)?;
+            let bytes = read_segment_bytes(path)?;
+            let scan = scan_segment(path, &bytes);
             if i == segments.len() - 1 {
                 let index = segment_index(path).expect("listed segments parse");
                 let reusable =
@@ -247,7 +369,7 @@ impl JournalWriter {
                 });
             }
             if let Some(last) = scan.records.last() {
-                next_seq = last.seq + 1;
+                next_seq = last.record.seq + 1;
                 break;
             }
         }
@@ -501,6 +623,8 @@ impl TraceSink for JournalSink {
 mod tests {
     use super::*;
     use intune_core::FeatureDef;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn record(seq: u64, kind: f64) -> JournalRecord {
         let defs = [FeatureDef::new("kind", 1), FeatureDef::new("size", 1)];
@@ -748,5 +872,219 @@ mod tests {
         w.append(record(0, 1.0)).unwrap();
         assert_eq!(list_segments(&dir).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`read_segment`] as the full parse spells it, the oracle of the
+    /// lazy scan: every record through [`codec::scan_records`], then
+    /// `from_value`.
+    fn full_parse_scan(path: &Path, bytes: &[u8]) -> SegmentScan {
+        let scan = codec::scan_records(bytes, JOURNAL_SCHEMA, JOURNAL_VERSION);
+        let mut records = Vec::new();
+        let mut torn = scan.torn;
+        for (i, value) in scan.records.iter().enumerate() {
+            match serde_json::from_value::<JournalRecord>(value) {
+                Ok(record) => records.push(record),
+                Err(e) => {
+                    torn = Some(Error::artifact(format!(
+                        "segment {} record {i} has an unexpected shape: {e}",
+                        path.display()
+                    )));
+                    break;
+                }
+            }
+        }
+        SegmentScan {
+            records,
+            consumed: scan.consumed,
+            torn,
+        }
+    }
+
+    fn same_scan(bytes: &[u8], what: &str) -> std::result::Result<(), TestCaseError> {
+        let path = Path::new("journal-00000000.seg");
+        let lazy = scan_segment(path, bytes);
+        let full = full_parse_scan(path, bytes);
+        let lazy_records: Vec<JournalRecord> = lazy
+            .records
+            .into_iter()
+            .map(LazyRecord::into_record)
+            .collect();
+        prop_assert_eq!(lazy_records, full.records, "records: {}", what);
+        prop_assert_eq!(lazy.consumed, full.consumed, "consumed: {}", what);
+        prop_assert_eq!(
+            lazy.torn.map(|e| e.to_string()),
+            full.torn.map(|e| e.to_string()),
+            "torn: {}",
+            what
+        );
+        Ok(())
+    }
+
+    /// A payload that exercises the grammar: escapes, non-ASCII text,
+    /// every number form, a nested `payload` key, or none at all.
+    fn tricky_payload(kind: usize, x: f64) -> Option<Value> {
+        match kind {
+            0 => None,
+            1 => Some(Value::Array(vec![
+                Value::Float(x),
+                Value::Int(-3),
+                Value::UInt(u64::MAX),
+                Value::Float(x * 1e-300),
+            ])),
+            2 => Some(Value::String("q\"\\/\n\u{1}é 😀".into())),
+            3 => Some(Value::Object(vec![
+                (
+                    "payload".into(),
+                    Value::Array(vec![Value::Float(x), Value::Null]),
+                ),
+                ("k".into(), Value::Bool(true)),
+            ])),
+            4 => Some(Value::Array(vec![
+                Value::Array(vec![Value::Array(vec![])]),
+                Value::Object(vec![]),
+            ])),
+            _ => Some(Value::Float(x)),
+        }
+    }
+
+    /// A record's JSON as the writer prints it.
+    fn record_text(record: &JournalRecord) -> String {
+        serde_json::to_string(&serde_json::to_value(record)).unwrap()
+    }
+
+    /// A frame around `text` in the writer's layout with a correct
+    /// checksum, whatever `text` is.
+    fn sealed(text: &str) -> Vec<u8> {
+        let body = format!(
+            "{{\"schema\":\"{JOURNAL_SCHEMA}\",\"version\":{JOURNAL_VERSION},\
+             \"checksum\":\"fnv1a64:{:016x}\",\"payload\":{text}}}",
+            codec::fnv1a64(text.as_bytes())
+        );
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body.as_bytes());
+        frame
+    }
+
+    /// Bytes that keep a mutated record close to JSON, letters included
+    /// so that a key can grow.
+    const ALPHABET: &[u8] = b"0123456789-+.eE,:[]{}\"\\ nulltrfsay_";
+    /// The characters of numbers, inserted into numbers.
+    const NUMBER_ALPHABET: &[u8] = b"0123456789-+.eE";
+
+    /// One mutation at an ASCII byte (the text stays UTF-8) of `region`
+    /// of a record's JSON: 0 anywhere, 1 the `"payload":` field (key and
+    /// value), 2 a number anywhere, 3 a number of the payload. `op` flips
+    /// one of the low seven bits, inserts a byte (from
+    /// [`NUMBER_ALPHABET`] into a number, else from [`ALPHABET`]),
+    /// deletes, or truncates.
+    fn mutate(bytes: &mut Vec<u8>, region: u8, (op, at, pick, bit): (u8, usize, usize, u32)) {
+        // The payload field runs from its key to the `trace_id` field or
+        // the closing brace; a record without one mutates anywhere.
+        let field = bytes
+            .windows(10)
+            .position(|w| w == b"\"payload\":")
+            .map(|k| {
+                let end = bytes.windows(12).position(|w| w == b",\"trace_id\":");
+                k..end.unwrap_or(bytes.len() - 1)
+            });
+        let in_number = |i: usize| NUMBER_ALPHABET.contains(&bytes[i]);
+        let in_field = |i: usize| field.as_ref().is_none_or(|f| f.contains(&i));
+        let spots: Vec<usize> = (0..bytes.len())
+            .filter(|&i| {
+                bytes[i].is_ascii()
+                    && match region {
+                        1 => in_field(i),
+                        2 => in_number(i),
+                        3 => in_field(i) && in_number(i),
+                        _ => true,
+                    }
+            })
+            .collect();
+        let Some(&spot) = spots.get(at % spots.len().max(1)) else {
+            return;
+        };
+        let alphabet = if region >= 2 {
+            NUMBER_ALPHABET
+        } else {
+            ALPHABET
+        };
+        match op {
+            0 => bytes[spot] ^= 1 << bit,
+            1 => bytes.insert(spot, alphabet[pick % alphabet.len()]),
+            2 => {
+                bytes.remove(spot);
+            }
+            _ => bytes.truncate(spot),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lazy scan reads a segment exactly as the full parse does —
+        /// the same records once payloads are parsed, the same `consumed`,
+        /// the same torn-tail error — whether the segment is cut at any
+        /// offset, bit-flipped (which the checksum catches), or carries a
+        /// record whose JSON was mutated and re-sealed with a correct
+        /// checksum (which only the grammar catches).
+        #[test]
+        fn lazy_scan_agrees_with_the_full_parse(
+            specs in prop::collection::vec((0usize..6, -1e3f64..1e3, 0u64..3), 1..4),
+            flips in prop::collection::vec((0usize..1 << 16, 0u32..8), 16),
+            resealed in prop::collection::vec(
+                (
+                    0usize..8,
+                    0u8..4,
+                    prop::collection::vec((0u8..4, 0usize..1 << 16, 0usize..64, 0u32..7), 1..4),
+                ),
+                6,
+            ),
+        ) {
+            let records: Vec<JournalRecord> = specs
+                .iter()
+                .enumerate()
+                .map(|(seq, &(kind, x, trace))| JournalRecord {
+                    payload: tricky_payload(kind, x),
+                    trace_id: (trace > 0).then_some(trace),
+                    ..record(seq as u64, x)
+                })
+                .collect();
+            let frames: Vec<Vec<u8>> = records
+                .iter()
+                .map(|r| {
+                    codec::encode_record(JOURNAL_SCHEMA, JOURNAL_VERSION, serde_json::to_value(r))
+                        .unwrap()
+                })
+                .collect();
+            // Re-sealing reproduces the writer's bytes, so a re-sealed
+            // record reaches the lazy path, not the fallback.
+            for (r, frame) in records.iter().zip(&frames) {
+                prop_assert_eq!(&sealed(&record_text(r)), frame);
+            }
+            let stream = frames.concat();
+            let intact = scan_segment(Path::new("intact"), &stream);
+            prop_assert!(intact.torn.is_none());
+            prop_assert_eq!(intact.records.len(), records.len());
+            for cut in 0..=stream.len() {
+                same_scan(&stream[..cut], &format!("cut at {cut}"))?;
+            }
+            for (at, bit) in flips {
+                let mut flipped = stream.clone();
+                let at = at % flipped.len();
+                flipped[at] ^= 1 << bit;
+                same_scan(&flipped, &format!("bit {bit} of byte {at} flipped"))?;
+            }
+            for (which, region, mutations) in resealed {
+                let i = which % records.len();
+                let mut text = record_text(&records[i]).into_bytes();
+                for m in mutations {
+                    mutate(&mut text, region, m);
+                }
+                let text = String::from_utf8(text).expect("mutations keep the text UTF-8");
+                let mut frames = frames.clone();
+                frames[i] = sealed(&text);
+                same_scan(&frames.concat(), &format!("record {i} re-sealed as {text}"))?;
+            }
+        }
     }
 }

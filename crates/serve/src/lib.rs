@@ -89,7 +89,7 @@ pub mod trace;
 pub mod vector;
 
 pub use artifact::{ModelArtifact, ARTIFACT_MIN_VERSION, ARTIFACT_SCHEMA, ARTIFACT_VERSION};
-pub use journal::{JournalOptions, JournalRecord, JournalSink, JournalWriter};
+pub use journal::{JournalOptions, JournalRecord, JournalSink, JournalWriter, LazyRecord};
 pub use service::{Selection, SelectorService, ServeOptions, ServeStats};
 pub use trace::TraceSink;
 pub use vector::VectorService;
