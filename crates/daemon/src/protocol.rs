@@ -442,7 +442,8 @@ impl Scan<'_> {
     /// One JSON number, read exactly as the generic parser reads it: the
     /// same grammar (no leading zeros, no `+`, no bare `.` or dangling
     /// exponent) and the same value — integral text converts through
-    /// `i64`/`u64` first, so `-0` is `0.0` on both routes.
+    /// `i64`/`u64` first, so `-0` is `0.0` on both routes. A literal past
+    /// `f64::MAX` is refused, so the parser reports it as out of range.
     fn number(&mut self) -> Option<f64> {
         let start = self.at;
         self.eat(b'-');
@@ -468,7 +469,7 @@ impl Scan<'_> {
                 return Some(u as f64);
             }
         }
-        text.parse::<f64>().ok()
+        text.parse::<f64>().ok().filter(|f| f.is_finite())
     }
 
     fn integer(&mut self) -> Option<usize> {
@@ -1029,7 +1030,7 @@ mod tests {
         // integral text converts through `i64`/`u64` on both routes, so
         // `-0` is +0.0 on both.
         let canonical = encode_select_batch(&[vector()]);
-        let spellings = ["-0", "7", "18446744073709551616", "1e400", "2.5E-3"];
+        let spellings = ["-0", "7", "18446744073709551616", "1e300", "2.5E-3"];
         let payloads = [
             encode_select_batch(&[]),
             encode_select_batch(&[FeatureVector::empty(&[])]),
@@ -1079,6 +1080,14 @@ mod tests {
                 decode_select_batch(&payload).is_none(),
                 "fast path must refuse {payload:?} and defer to the parser"
             );
+        }
+        // A literal past f64::MAX: the fast path defers, and the parser
+        // types the error.
+        for spelling in ["1e400", "-1e309", "1.7976931348623159e308"] {
+            let payload = canonical.replace("3.0", spelling);
+            assert!(decode_select_batch(&payload).is_none(), "{payload}");
+            let err = decode_message::<Request>(&payload).unwrap_err();
+            assert!(err.to_string().contains("number out of range"), "{err}");
         }
         // ... and the generic route still understands the whitespace one.
         let spaced = canonical.replace(":[", ": [");

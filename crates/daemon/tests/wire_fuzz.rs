@@ -12,6 +12,10 @@ use proptest::prelude::*;
 /// Bytes that keep a mutated payload close to JSON: number characters,
 /// structure, and the letters of `null`.
 const ALPHABET: &[u8] = b"0123456789-+.eE,:[]{}\" nul";
+/// Exponents an insert may append to a number: at, just past and far
+/// past the f64 overflow threshold, and one that brings a large value
+/// back in range.
+const EXPONENTS: [&str; 5] = ["e308", "e309", "e400", "E+999", "e-400"];
 
 /// One slot: a hole, a wide-magnitude float, a small integer-valued
 /// float, or a signed zero.
@@ -30,10 +34,10 @@ fn vector((slots, offsets): (Vec<(u8, f64, i64)>, Vec<usize>)) -> FeatureVector 
 }
 
 /// Applies one mutation to `bytes`: `op` picks flip / insert / delete /
-/// truncate at offset `at`, reduced modulo the length. Region 0 lets the
-/// offset land anywhere; any other region indexes only the bytes of
-/// numbers, where a mutation most often leaves a payload the scanner
-/// still accepts.
+/// truncate at offset `at`, reduced modulo the length, or appends an
+/// exponent to the byte there. Region 0 lets the offset land anywhere;
+/// any other region indexes only the bytes of numbers, where a mutation
+/// most often leaves a payload the scanner still accepts.
 fn mutate(bytes: &mut Vec<u8>, (op, region, at, pick, bit): (u8, u8, usize, usize, u32)) {
     let spots: Vec<usize> = (0..bytes.len())
         .filter(|&i| region == 0 || b"0123456789-.eE".contains(&bytes[i]))
@@ -48,7 +52,11 @@ fn mutate(bytes: &mut Vec<u8>, (op, region, at, pick, bit): (u8, u8, usize, usiz
         2 => {
             bytes.remove(spot);
         }
-        _ => bytes.truncate(spot),
+        3 => bytes.truncate(spot),
+        _ => {
+            let exponent = EXPONENTS[pick % EXPONENTS.len()].bytes();
+            bytes.splice(spot + 1..spot + 1, exponent);
+        }
     }
 }
 
@@ -65,7 +73,7 @@ proptest! {
             0..3,
         ),
         mutations in prop::collection::vec(
-            (0u8..4, 0u8..4, 0usize..1 << 16, 0usize..64, 0u32..7),
+            (0u8..5, 0u8..4, 0usize..1 << 16, 0usize..64, 0u32..7),
             1..4,
         ),
     ) {
