@@ -209,12 +209,12 @@ const RECORD_PAYLOAD_KEY: &str = "\",\"payload\":";
 /// Encodes one **framed record**: a 4-byte big-endian length prefix
 /// followed by the *compact* checksummed envelope (same fields as
 /// [`encode_document`], printed without whitespace — append-only logs are
-/// byte-budgeted, documents are human-read). The frame is what the
-/// request journal appends per served selection; [`scan_records`] walks a
+/// byte-budgeted, documents are human-read). [`scan_records`] walks a
 /// stream of them back, surviving a torn tail.
 ///
 /// The payload is printed once: those canonical bytes are hashed and
 /// then stored verbatim between the envelope's head and its closing `}`.
+/// [`append_record`] is the same frame with the payload's print supplied.
 ///
 /// # Errors
 /// Returns [`Error::Artifact`] when the encoded body exceeds
@@ -223,20 +223,49 @@ const RECORD_PAYLOAD_KEY: &str = "\",\"payload\":";
 /// must be a typed error the writer can drop, never a panic.
 pub fn encode_record(schema: &str, version: u32, payload: Value) -> Result<Vec<u8>> {
     let canonical = serde_json::to_string(&payload).expect("value printing is infallible");
-    let head = record_head(schema, version);
-    let digits = checksum_digits(canonical.as_bytes());
-    let len = head.len() + digits.len() + RECORD_PAYLOAD_KEY.len() + canonical.len() + 1;
+    let mut out = Vec::new();
+    append_record(&mut out, schema, version, |out| {
+        out.extend_from_slice(canonical.as_bytes())
+    })?;
+    Ok(out)
+}
+
+/// Appends one [`encode_record`] frame to `out`, its payload written by
+/// `print`. `print` must append the payload's canonical print (what
+/// `serde_json::to_string` gives for it): those are the bytes the
+/// checksum covers and the reader parses. A writer that already holds
+/// parts of the payload as canonical text splices them in this way
+/// instead of building and printing the payload.
+///
+/// # Errors
+/// Returns [`Error::Artifact`] when the encoded body exceeds
+/// [`MAX_RECORD_BYTES`], leaving `out` as it was.
+pub fn append_record(
+    out: &mut Vec<u8>,
+    schema: &str,
+    version: u32,
+    print: impl FnOnce(&mut Vec<u8>),
+) -> Result<()> {
+    let frame = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(record_head(schema, version).as_bytes());
+    let digits = out.len();
+    out.extend_from_slice(&[b'0'; 16]);
+    out.extend_from_slice(RECORD_PAYLOAD_KEY.as_bytes());
+    let payload = out.len();
+    print(out);
+    let checksum = checksum_digits(&out[payload..]);
+    out[digits..payload - RECORD_PAYLOAD_KEY.len()].copy_from_slice(checksum.as_bytes());
+    out.push(b'}');
+    let len = out.len() - frame - 4;
     if len > MAX_RECORD_BYTES {
+        out.truncate(frame);
         return Err(Error::artifact(format!(
             "record body of {len} bytes exceeds the {MAX_RECORD_BYTES}-byte frame cap"
         )));
     }
-    let mut out = Vec::with_capacity(4 + len);
-    out.extend_from_slice(&(len as u32).to_be_bytes());
-    for part in [&head, &digits, RECORD_PAYLOAD_KEY, &canonical, "}"] {
-        out.extend_from_slice(part.as_bytes());
-    }
-    Ok(out)
+    out[frame..frame + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
 }
 
 /// The stored payload text of a body in exactly the layout

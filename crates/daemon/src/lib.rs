@@ -654,6 +654,7 @@ mod tests {
     #[test]
     fn stats_count_journal_drops_when_the_journal_cannot_be_written() {
         use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use std::io::{Read as _, Write as _};
         use std::sync::Arc;
 
         let dir = std::env::temp_dir().join(format!(
@@ -669,11 +670,24 @@ mod tests {
             ..JournalOptions::default()
         };
         let sink = Arc::new(JournalSink::open(&dir, journal).unwrap());
+        let spans_dir = dir.with_extension("spans");
+        std::fs::create_dir_all(&spans_dir).unwrap();
         let opts = DaemonOptions {
             trace: Some(sink.clone() as Arc<dyn TraceSink>),
+            spans: Some(Arc::new(
+                intune_obs::SpanLog::open(&spans_dir.join("daemon.spans.log")).unwrap(),
+            )),
             ..DaemonOptions::default()
         };
-        let (handle, client) = start(opts);
+        let listen = ListenConfig {
+            metrics: Some("127.0.0.1:0".to_string()),
+            ..ListenConfig::default()
+        };
+        let daemon = Daemon::bind(artifact(1), opts, &listen).unwrap();
+        let scrape_addr = daemon.metrics_addr().expect("metrics listener bound");
+        let addr = daemon.tcp_addr().to_string();
+        let handle = daemon.spawn();
+        let client = DaemonClient::connect(&addr).unwrap();
 
         let batch: Vec<FeatureVector> = (0..2).map(|i| vector(i as f64)).collect();
         client.select_batch(&batch).unwrap();
@@ -691,9 +705,24 @@ mod tests {
         assert_eq!(stats.journal_dropped, sink.dropped());
         assert!(sink.last_error().is_some());
 
+        // The scrape shows every drop counter: the journal's, the
+        // recorder's (none here) and the span log's.
+        let mut sock = std::net::TcpStream::connect(scrape_addr).unwrap();
+        sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut body = String::new();
+        sock.read_to_string(&mut body).unwrap();
+        for series in [
+            "intune_journal_dropped_total{tenant=\"daemon-test\"} 3",
+            "intune_recorded_dropped_total{tenant=\"daemon-test\"} 0",
+            "intune_spans_dropped_total 0",
+        ] {
+            assert!(body.contains(series), "{series} missing from {body}");
+        }
+
         client.shutdown().unwrap();
         handle.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&spans_dir).ok();
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! outright. Any transport, header, or payload failure is a typed
 //! [`intune_core::Error::Wire`].
 
-use intune_core::{codec, Error, FeatureVector, Result};
+use intune_core::{codec, Error, FeatureVector, Result, TraceContext};
 use intune_obs::LatencySummary;
-use intune_serve::{Selection, ServeStats};
+use intune_serve::{print_payloads, Selection, ServeStats};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// Wire protocol version byte (`intune-wire/2`).
@@ -391,36 +392,124 @@ pub fn decode_message<T: Deserialize>(text: &str) -> Result<T> {
 /// the generic parser uses, so both routes yield bit-identical vectors
 /// (a unit test pins this).
 pub fn decode_select_batch(payload: &str) -> Option<Vec<FeatureVector>> {
-    let mut scan = Scan {
-        bytes: payload.as_bytes(),
-        at: 0,
-    };
+    let mut scan = Scan::new(payload);
     scan.tag(b"{\"SelectBatch\":{\"features\":[")?;
-    let mut features = Vec::new();
-    if !scan.eat(b']') {
-        loop {
-            features.push(scan.vector()?);
-            if !scan.eat(b',') {
-                break;
-            }
-        }
-        scan.tag(b"]")?;
-    }
+    let features = scan.items(Scan::vector)?;
     scan.tag(b"}}")?;
-    if scan.at == scan.bytes.len() {
-        Some(features)
-    } else {
-        None
-    }
+    scan.end().then_some(features)
 }
 
-/// Byte cursor for [`decode_select_batch`]'s strict scan.
+/// A selection request as the daemon serves it: a `SelectBatch`, or a
+/// `SelectBatchTraced` with each payload as its canonical JSON print
+/// (`null` = no payload).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Batch<'a> {
+    /// The vectors to select for.
+    pub features: Vec<FeatureVector>,
+    /// One printed payload per vector, or none at all: borrowed from a
+    /// canonical frame, printed once from any other.
+    pub payloads: Vec<Cow<'a, str>>,
+    /// The request's trace context, if it carried one.
+    pub trace: Option<TraceContext>,
+}
+
+/// Decodes a `SelectBatchTraced` payload the way [`decode_select_batch`]
+/// decodes a `SelectBatch`: the canonical encoding only (the derive's,
+/// with or without a trace), the vectors read by the same scanner, and
+/// each payload kept as its text, borrowed, once
+/// [`serde_json::canonical_prefix`] has confirmed it is exactly what
+/// printing its parse gives. The logs store that text as they would have
+/// stored the print. `None` for anything else (a payload with whitespace
+/// or a `1.50` in it, say), and callers **must** fall back to
+/// [`decode_message`]. A batch this accepts is the one the parser reads
+/// (the wire fuzzer pins this).
+pub fn decode_select_batch_traced(payload: &str) -> Option<Batch<'_>> {
+    let mut scan = Scan::new(payload);
+    scan.tag(b"{\"SelectBatchTraced\":{\"features\":[")?;
+    let features = scan.items(Scan::vector)?;
+    scan.tag(b",\"payloads\":[")?;
+    let payloads = scan.items(|s| {
+        // A payload sits three containers deep in the frame.
+        let text = serde_json::canonical_prefix(&s.text[s.at..], 3)?;
+        s.at += text.len();
+        Some(Cow::Borrowed(text))
+    })?;
+    let trace = match scan.tag(b",\"trace\":") {
+        Some(()) => Some(scan.trace()?),
+        None => None,
+    };
+    scan.tag(b"}}")?;
+    scan.end().then_some(Batch {
+        features,
+        payloads,
+        trace,
+    })
+}
+
+/// A request frame as the daemon dispatches it: every selection request
+/// as a [`Batch`], anything else as the [`Request`] itself.
+pub(crate) enum Decoded<'a> {
+    Batch(Batch<'a>),
+    Other(Request),
+}
+
+/// Decodes a request frame payload: a canonical selection request by the
+/// fast paths, anything else by [`decode_message`], with each payload of
+/// a `SelectBatchTraced` printed once.
+pub(crate) fn decode_request(payload: &str) -> Result<Decoded<'_>> {
+    if let Some(features) = decode_select_batch(payload) {
+        return Ok(Decoded::Batch(Batch {
+            features,
+            payloads: Vec::new(),
+            trace: None,
+        }));
+    }
+    if let Some(batch) = decode_select_batch_traced(payload) {
+        return Ok(Decoded::Batch(batch));
+    }
+    Ok(match decode_message::<Request>(payload)? {
+        Request::SelectBatch { features, trace } => Decoded::Batch(Batch {
+            features,
+            payloads: Vec::new(),
+            trace,
+        }),
+        Request::SelectBatchTraced {
+            features,
+            payloads,
+            trace,
+        } => Decoded::Batch(Batch {
+            features,
+            payloads: print_payloads(&payloads)
+                .into_iter()
+                .map(Cow::Owned)
+                .collect(),
+            trace,
+        }),
+        other => Decoded::Other(other),
+    })
+}
+
+/// Byte cursor for the fast paths' strict scans.
 struct Scan<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
 
-impl Scan<'_> {
+impl<'a> Scan<'a> {
+    fn new(text: &'a str) -> Self {
+        Scan {
+            text,
+            bytes: text.as_bytes(),
+            at: 0,
+        }
+    }
+
+    /// Whether the whole text has been read.
+    fn end(&self) -> bool {
+        self.at == self.bytes.len()
+    }
+
     fn tag(&mut self, expected: &[u8]) -> Option<()> {
         if self.bytes[self.at..].starts_with(expected) {
             self.at += expected.len();
@@ -437,6 +526,21 @@ impl Scan<'_> {
         } else {
             false
         }
+    }
+
+    /// The items of a list whose `[` has been read, through its `]`.
+    fn items<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let mut items = Vec::new();
+        if !self.eat(b']') {
+            loop {
+                items.push(item(self)?);
+                if !self.eat(b',') {
+                    break;
+                }
+            }
+            self.tag(b"]")?;
+        }
+        Some(items)
     }
 
     /// One JSON number, read exactly as the generic parser reads it: the
@@ -459,8 +563,7 @@ impl Scan<'_> {
         if exponent && self.digits() == 0 {
             return None;
         }
-        // Guaranteed ASCII by the grammar above.
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).ok()?;
+        let text = &self.text[start..self.at];
         if !fraction && !exponent {
             if let Ok(i) = text.parse::<i64>() {
                 return Some(i as f64);
@@ -472,13 +575,11 @@ impl Scan<'_> {
         text.parse::<f64>().ok().filter(|f| f.is_finite())
     }
 
-    fn integer(&mut self) -> Option<usize> {
+    /// A non-negative JSON integer, as the parser's `i64`/`u64` reads it.
+    fn integer<T: std::str::FromStr>(&mut self) -> Option<T> {
         let start = self.at;
         self.integer_part()?;
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()?
-            .parse::<usize>()
-            .ok()
+        self.text[start..self.at].parse().ok()
     }
 
     /// A JSON integer part: `0`, or digits without a leading zero.
@@ -498,38 +599,40 @@ impl Scan<'_> {
 
     fn vector(&mut self) -> Option<FeatureVector> {
         self.tag(b"{\"slots\":[")?;
-        let mut slots = Vec::new();
-        if !self.eat(b']') {
-            loop {
-                if self.tag(b"null").is_some() {
-                    slots.push(None);
-                } else {
-                    self.tag(b"{\"value\":")?;
-                    let value = self.number()?;
-                    self.tag(b",\"cost\":")?;
-                    let cost = self.number()?;
-                    self.tag(b"}")?;
-                    slots.push(Some(intune_core::FeatureSample { value, cost }));
-                }
-                if !self.eat(b',') {
-                    break;
-                }
+        let slots = self.items(|s| {
+            if s.tag(b"null").is_some() {
+                return Some(None);
             }
-            self.tag(b"]")?;
-        }
+            s.tag(b"{\"value\":")?;
+            let value = s.number()?;
+            s.tag(b",\"cost\":")?;
+            let cost = s.number()?;
+            s.tag(b"}")?;
+            Some(Some(intune_core::FeatureSample { value, cost }))
+        })?;
         self.tag(b",\"offsets\":[")?;
-        let mut offsets = Vec::new();
-        if !self.eat(b']') {
-            loop {
-                offsets.push(self.integer()?);
-                if !self.eat(b',') {
-                    break;
-                }
-            }
-            self.tag(b"]")?;
-        }
+        let offsets = self.items(Scan::integer)?;
         self.tag(b"}")?;
         Some(FeatureVector::from_wire_parts(slots, offsets))
+    }
+
+    /// A trace context, in the derive's field order.
+    fn trace(&mut self) -> Option<TraceContext> {
+        self.tag(b"{\"trace_id\":")?;
+        let trace_id = self.integer()?;
+        self.tag(b",\"parent_span\":")?;
+        let parent_span = self.integer()?;
+        self.tag(b",\"sampled\":")?;
+        let sampled = match self.tag(b"true") {
+            Some(()) => true,
+            None => self.tag(b"false").map(|()| false)?,
+        };
+        self.tag(b"}")?;
+        Some(TraceContext {
+            trace_id,
+            parent_span,
+            sampled,
+        })
     }
 }
 
@@ -1001,6 +1104,68 @@ mod tests {
             }),
             "traced hand-tagged encoding must track the derive too"
         );
+    }
+
+    #[test]
+    fn traced_batches_keep_canonical_payload_text_and_print_any_other_once() {
+        use serde_json::Value;
+        let payloads = vec![
+            Value::Array(vec![
+                Value::Float(0.1 + 0.2),
+                Value::Int(-3),
+                Value::Float(2.0),
+            ]),
+            Value::Null,
+            Value::Object(vec![("k\u{1}".into(), Value::String("a/\"é".into()))]),
+        ];
+        let printed: Vec<String> = payloads
+            .iter()
+            .map(|p| serde_json::to_string(p).unwrap())
+            .collect();
+        let trace = intune_core::TraceContext {
+            trace_id: u64::MAX,
+            parent_span: 0,
+            sampled: false,
+        };
+        for trace in [None, Some(trace)] {
+            let request = Request::SelectBatchTraced {
+                features: vec![vector(), vector(), vector()],
+                payloads: payloads.clone(),
+                trace,
+            };
+            let canonical = encode_message(&request);
+            let batch = decode_select_batch_traced(&canonical).expect("canonical frame");
+            assert_eq!(batch.features, vec![vector(), vector(), vector()]);
+            assert_eq!(batch.trace, trace);
+            assert_eq!(batch.payloads, printed);
+            assert!(batch.payloads.iter().all(|p| matches!(p, Cow::Borrowed(_))));
+            // The same request spelled otherwise takes the parser, and
+            // its payloads are printed to the same text.
+            for other in [
+                canonical.replacen("[0.30000000000000004,", "[ 0.30000000000000004,", 1),
+                canonical.replacen(",2.0]", ",2.00]", 1),
+                canonical.replacen(",2.0]", ",2e0]", 1),
+                canonical.replacen("a/", "a\\/", 1),
+                canonical.replacen("{\"slots\"", " {\"slots\"", 1),
+            ] {
+                assert_ne!(other, canonical);
+                assert_eq!(decode_select_batch_traced(&other), None, "{other}");
+                let Ok(Decoded::Batch(slow)) = decode_request(&other) else {
+                    panic!("not a batch: {other}");
+                };
+                assert_eq!(slow, batch, "{other}");
+            }
+        }
+        // Payload nesting counts the frame's own three containers: the
+        // fast path refuses exactly where the parser does.
+        let nested = |depth: usize| {
+            let payload = "[".repeat(depth) + &"]".repeat(depth);
+            format!("{{\"SelectBatchTraced\":{{\"features\":[],\"payloads\":[{payload}]}}}}")
+        };
+        assert!(decode_select_batch_traced(&nested(126)).is_some());
+        assert!(decode_message::<Request>(&nested(126)).is_ok());
+        assert!(decode_select_batch_traced(&nested(127)).is_none());
+        assert!(decode_message::<Request>(&nested(127)).is_err());
     }
 
     #[test]

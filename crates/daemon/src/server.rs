@@ -34,13 +34,13 @@
 //! half-open socket waiting for a FIN that never comes.
 
 use crate::protocol::{
-    self, DaemonStats, Fill, LatencyExemplar, MetricsSnapshot, Request, Response, StageTimings,
-    TenantMetrics,
+    self, Batch, DaemonStats, Decoded, Fill, LatencyExemplar, MetricsSnapshot, Request, Response,
+    StageTimings, TenantMetrics,
 };
 use crate::registry::{ArtifactRegistry, Tenant, TenantSpec};
 use crate::shadow::{ShadowPolicy, ShadowState};
 use intune_core::{Error, FeatureVector, Result, TraceContext};
-use intune_datalog::FrameBody;
+use intune_datalog::{FrameBody, PrintedBody};
 use intune_obs::{
     EventKind, EventLog, Histogram, IdMinter, LatencySummary, Sampler, Span, SpanLog,
     TextExposition,
@@ -1221,18 +1221,13 @@ fn pump(conn: &mut Conn, shared: &Shared, stop: &mut bool) -> Pump {
             if conn.closing {
                 return Pump::Continue;
             }
-            // `SelectBatch` dominates the frame mix under load; scan it
-            // without the generic Value tree, falling back to the full
-            // parser for every other (or non-canonical) payload.
+            // Selection requests dominate the frame mix under load; a
+            // canonical one is scanned without the generic Value tree,
+            // its payloads kept as wire text, and every other (or
+            // non-canonical) payload takes the full parser.
             let frame_start = Instant::now();
             let decoded = match conn.reader.pop_frame() {
-                Ok(Some(payload)) => match protocol::decode_select_batch(payload) {
-                    Some(features) => Ok(Request::SelectBatch {
-                        features,
-                        trace: None,
-                    }),
-                    None => protocol::decode_message::<Request>(payload),
-                },
+                Ok(Some(payload)) => protocol::decode_request(payload),
                 Ok(None) => break,
                 Err(e) => {
                     conn.fail(e.to_string());
@@ -1248,11 +1243,10 @@ fn pump(conn: &mut Conn, shared: &Shared, stop: &mut bool) -> Pump {
             };
             let decode_ns = elapsed_ns(frame_start);
             shared.obs.decode.record(decode_ns);
-            let is_shutdown = matches!(request, Request::Shutdown);
+            let is_shutdown = matches!(request, Decoded::Other(Request::Shutdown));
             let batch_len = match &request {
-                Request::SelectBatch { features, .. } => Some(features.len()),
-                Request::SelectBatchTraced { features, .. } => Some(features.len()),
-                _ => None,
+                Decoded::Batch(batch) => Some(batch.features.len()),
+                Decoded::Other(_) => None,
             };
             // Sampling decision before dispatch: a traced request has its
             // context re-parented onto the server span so every span the
@@ -1263,8 +1257,9 @@ fn pump(conn: &mut Conn, shared: &Shared, stop: &mut bool) -> Pump {
             let conn_id = conn.id;
             let tenant = &mut conn.tenant;
             let select_start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| {
-                handle_request(shared, tenant, conn_id, request)
+            match catch_unwind(AssertUnwindSafe(|| match request {
+                Decoded::Batch(batch) => handle_batch(shared, tenant, conn_id, &batch),
+                Decoded::Other(request) => handle_request(shared, tenant, conn_id, request),
             })) {
                 Ok(response) => {
                     let select_ns = elapsed_ns(select_start);
@@ -1367,14 +1362,12 @@ fn pump(conn: &mut Conn, shared: &Shared, stop: &mut bool) -> Pump {
 /// untraced request. Without a span log, nothing is ever traced.
 fn trace_decision(
     shared: &Shared,
-    request: &mut Request,
+    request: &mut Decoded,
     tenant: &Option<Arc<Tenant>>,
 ) -> Option<(TraceContext, u64)> {
     shared.obs.spans.as_ref()?;
-    let slot = match request {
-        Request::SelectBatch { trace, .. } => trace,
-        Request::SelectBatchTraced { trace, .. } => trace,
-        _ => return None,
+    let Decoded::Batch(Batch { trace: slot, .. }) = request else {
+        return None;
     };
     let ctx = match *slot {
         Some(ctx) if ctx.sampled && ctx.trace_id != 0 => ctx,
@@ -1466,20 +1459,9 @@ fn handle_request(
             // connection: the client may Hello again.
             Err(detail) => Response::Error { detail },
         },
-        Request::SelectBatch { features, trace } => match bound(shared, tenant) {
-            Ok(tenant) => handle_select(shared, &tenant, conn, &features, &[], trace.as_ref()),
-            Err(detail) => Response::Error { detail },
-        },
-        Request::SelectBatchTraced {
-            features,
-            payloads,
-            trace,
-        } => match bound(shared, tenant) {
-            Ok(tenant) => {
-                handle_select(shared, &tenant, conn, &features, &payloads, trace.as_ref())
-            }
-            Err(detail) => Response::Error { detail },
-        },
+        Request::SelectBatch { .. } | Request::SelectBatchTraced { .. } => {
+            unreachable!("selection requests are decoded as batches")
+        }
         Request::Stats => match bound(shared, tenant) {
             Ok(tenant) => {
                 tap_control(&tenant, conn, "Stats");
@@ -1538,6 +1520,23 @@ fn handle_request(
     }
 }
 
+/// Serves a selection batch for the connection's tenant.
+fn handle_batch(
+    shared: &Shared,
+    tenant: &mut Option<Arc<Tenant>>,
+    conn: u64,
+    batch: &Batch,
+) -> Response {
+    match bound(shared, tenant) {
+        Ok(tenant) => {
+            let payloads: Vec<&str> = batch.payloads.iter().map(|p| p.as_ref()).collect();
+            let trace = batch.trace.as_ref();
+            handle_select(shared, &tenant, conn, &batch.features, &payloads, trace)
+        }
+        Err(detail) => Response::Error { detail },
+    }
+}
+
 /// Primary answers off a wait-free pointer load; the tenant's shadow (if
 /// staged) mirrors *outside* any lock. A shadow whose drift monitor
 /// trips — or that cannot score the traffic at all — is auto-rejected
@@ -1550,27 +1549,24 @@ fn handle_select(
     tenant: &Tenant,
     conn: u64,
     features: &[FeatureVector],
-    payloads: &[serde_json::Value],
+    payloads: &[&str],
     trace: Option<&TraceContext>,
 ) -> Response {
     // The recorder tap sees the request *before* it is served: a replay
     // must re-pose exactly what arrived, including batches the primary
-    // goes on to refuse. Clones happen only on recording tenants. The
-    // trace context rides along so a replayed recording reproduces the
-    // same trace ids.
+    // goes on to refuse. The payloads reach both logs as the same printed
+    // text. The trace context rides along so a replayed recording
+    // reproduces the same trace ids.
     if let Some(recorder) = &tenant.recorder {
-        recorder.record(
-            &tenant.name,
-            conn,
-            FrameBody::Select {
-                features: features.to_vec(),
-                payloads: payloads.to_vec(),
-                trace: trace.copied(),
-            },
-        );
+        let body = PrintedBody::Select {
+            features,
+            payloads,
+            trace,
+        };
+        recorder.record_printed(&tenant.name, conn, body);
     }
     let primary = tenant.primary.load();
-    let selections = match primary.select_vector_batch_observed(features, payloads, trace) {
+    let selections = match primary.select_vector_batch_printed(features, payloads, trace) {
         Ok(s) => s,
         Err(e) => {
             return Response::Error {
@@ -1872,6 +1868,17 @@ fn render_metrics_text(shared: &Shared) -> String {
             &[("tenant", name)],
             tenant.shadow_rejections.load(Ordering::Acquire),
         );
+        // As in `Stats`: 0 for a tenant without a journal or recorder.
+        expo.counter(
+            "intune_journal_dropped_total",
+            &[("tenant", name)],
+            tenant.trace.as_ref().map_or(0, |sink| sink.dropped()),
+        );
+        expo.counter(
+            "intune_recorded_dropped_total",
+            &[("tenant", name)],
+            tenant.recorder.as_ref().map_or(0, |sink| sink.dropped()),
+        );
     }
     for (stage, histogram) in [
         ("decode", &shared.obs.decode),
@@ -1893,6 +1900,9 @@ fn render_metrics_text(shared: &Shared) -> String {
     if let Some(log) = &shared.obs.events {
         expo.counter("intune_events_appended_total", &[], log.appended());
         expo.counter("intune_events_dropped_total", &[], log.dropped());
+    }
+    if let Some(spans) = &shared.obs.spans {
+        expo.counter("intune_spans_dropped_total", &[], spans.dropped());
     }
     expo.gauge("intune_tenants", &[], shared.registry.len() as f64);
     expo.finish()

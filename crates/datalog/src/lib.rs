@@ -36,6 +36,6 @@ pub use playback::{
 };
 pub use recording::{
     list_segments, load_recording, read_segment, segment_index, segment_path, FrameBody,
-    RecordedFrame, RecorderSink, Recording, RecordingOptions, RecordingWriter, SegmentScan,
-    DATALOG_SCHEMA, DATALOG_VERSION, SEGMENT_PREFIX, SEGMENT_SUFFIX,
+    PrintedBody, RecordedFrame, RecorderSink, Recording, RecordingOptions, RecordingWriter,
+    SegmentScan, DATALOG_SCHEMA, DATALOG_VERSION, SEGMENT_PREFIX, SEGMENT_SUFFIX,
 };

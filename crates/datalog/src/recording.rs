@@ -30,6 +30,7 @@
 //! The on-disk format specification lives in `crates/datalog/README.md`.
 
 use intune_core::{codec, Error, FeatureVector, Result};
+use intune_serve::print_payloads;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::fs::{File, OpenOptions};
@@ -98,6 +99,96 @@ impl FrameBody {
             FrameBody::Control { .. } => None,
         }
     }
+
+    /// Runs `f` on this body with each payload printed once.
+    fn printed<R>(&self, f: impl FnOnce(PrintedBody) -> R) -> R {
+        match self {
+            FrameBody::Select {
+                features,
+                payloads,
+                trace,
+            } => {
+                let printed = print_payloads(payloads);
+                let texts: Vec<&str> = printed.iter().map(String::as_str).collect();
+                f(PrintedBody::Select {
+                    features,
+                    payloads: &texts,
+                    trace: trace.as_ref(),
+                })
+            }
+            FrameBody::Control { kind } => f(PrintedBody::Control { kind }),
+        }
+    }
+}
+
+/// A request body as the recorder encodes it: borrowed, with each payload
+/// printed. A daemon hands a canonical client's payload text over as it
+/// arrived and prints any other payload once.
+#[derive(Debug, Clone, Copy)]
+pub enum PrintedBody<'a> {
+    /// [`FrameBody::Select`], each payload its canonical JSON print
+    /// (`null` = none).
+    Select {
+        /// The served feature vectors, in request order.
+        features: &'a [FeatureVector],
+        /// Parallel printed payloads, or empty.
+        payloads: &'a [&'a str],
+        /// The sampled trace context the request carried, if any.
+        trace: Option<&'a intune_core::TraceContext>,
+    },
+    /// [`FrameBody::Control`].
+    Control {
+        /// The request's wire message name.
+        kind: &'a str,
+    },
+}
+
+/// Appends the recorded frame of `body`, stamped `seq`, `delta_micros`,
+/// `tenant` and `conn`, as `serde_json::to_string` prints the same
+/// [`RecordedFrame`]: fields in declaration order, an absent trace left
+/// out, payload texts spliced in.
+fn print_frame(
+    out: &mut Vec<u8>,
+    (seq, delta_micros, tenant, conn): (u64, u64, &str, u64),
+    body: PrintedBody,
+) {
+    let _ = write!(
+        out,
+        "{{\"seq\":{seq},\"delta_micros\":{delta_micros},\"tenant\":"
+    );
+    out.extend_from_slice(print_json(tenant).as_bytes());
+    let _ = write!(out, ",\"conn\":{conn},\"body\":");
+    match body {
+        PrintedBody::Select {
+            features,
+            payloads,
+            trace,
+        } => {
+            out.extend_from_slice(b"{\"Select\":{\"features\":");
+            out.extend_from_slice(print_json(features).as_bytes());
+            out.extend_from_slice(b",\"payloads\":[");
+            for (i, payload) in payloads.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                out.extend_from_slice(payload.as_bytes());
+            }
+            out.push(b']');
+            if let Some(trace) = trace {
+                out.extend_from_slice(b",\"trace\":");
+                out.extend_from_slice(print_json(trace).as_bytes());
+            }
+        }
+        PrintedBody::Control { kind } => {
+            out.extend_from_slice(b"{\"Control\":{\"kind\":");
+            out.extend_from_slice(print_json(kind).as_bytes());
+        }
+    }
+    out.extend_from_slice(b"}}}");
+}
+
+fn print_json<T: Serialize + ?Sized>(value: &T) -> String {
+    serde_json::to_string(value).expect("value printing is infallible")
 }
 
 /// One inbound request, as persisted in the recording.
@@ -359,13 +450,24 @@ impl RecordingWriter {
     /// overwritten with the recording's next sequence number, which is
     /// returned), rotating to a fresh segment — flushing first — when
     /// the active one is full. Nothing reaches disk until
-    /// [`RecordingWriter::flush`].
+    /// [`RecordingWriter::flush`]. Each payload is printed once.
     ///
     /// # Errors
     /// Returns [`Error::Artifact`] on an unencodable (oversized) frame
     /// or a rotation failure; the sequence number is not consumed on
     /// failure.
-    pub fn stage(&mut self, mut frame: RecordedFrame) -> Result<u64> {
+    pub fn stage(&mut self, frame: RecordedFrame) -> Result<u64> {
+        let stamp = (frame.delta_micros, frame.tenant.as_str(), frame.conn);
+        frame.body.printed(|body| self.stage_printed(stamp, body))
+    }
+
+    /// [`RecordingWriter::stage`] for a printed body, stamped
+    /// `(delta_micros, tenant, conn)`.
+    fn stage_printed(
+        &mut self,
+        (delta_micros, tenant, conn): (u64, &str, u64),
+        body: PrintedBody,
+    ) -> Result<u64> {
         if self.frames_in_segment >= self.opts.segment_max_frames.max(1) {
             self.flush()?;
             // Seal the full segment durably before rotating away from
@@ -382,17 +484,14 @@ impl RecordingWriter {
             })?;
             self.frames_in_segment = 0;
         }
-        frame.seq = self.next_seq;
-        let encoded = codec::encode_record(
-            DATALOG_SCHEMA,
-            DATALOG_VERSION,
-            serde_json::to_value(&frame),
-        )?;
-        self.pending.extend_from_slice(&encoded);
+        let seq = self.next_seq;
+        codec::append_record(&mut self.pending, DATALOG_SCHEMA, DATALOG_VERSION, |out| {
+            print_frame(out, (seq, delta_micros, tenant, conn), body)
+        })?;
         self.pending_frames += 1;
         self.frames_in_segment += 1;
         self.next_seq += 1;
-        Ok(frame.seq)
+        Ok(seq)
     }
 
     /// Writes every pending frame in one syscall. On failure the pending
@@ -482,8 +581,13 @@ impl RecorderSink {
     /// Records one inbound request frame, stamping its sequence number
     /// and monotonic delta. Never fails the caller: an unrecordable
     /// frame is counted in [`RecorderSink::dropped`] and its error kept
-    /// for [`RecorderSink::last_error`].
+    /// for [`RecorderSink::last_error`]. Each payload is printed once.
     pub fn record(&self, tenant: &str, conn: u64, body: FrameBody) {
+        body.printed(|body| self.record_printed(tenant, conn, body));
+    }
+
+    /// [`RecorderSink::record`] for a printed body: the daemon's tap.
+    pub fn record_printed(&self, tenant: &str, conn: u64, body: PrintedBody) {
         // Recover from poisoning: a panic on one serving thread must not
         // wedge recording behind a `PoisonError`.
         let mut inner = self
@@ -495,20 +599,16 @@ impl RecorderSink {
             .duration_since(inner.1)
             .as_micros()
             .min(u64::MAX as u128) as u64;
-        let frame = RecordedFrame {
-            seq: 0, // assigned by the writer
-            delta_micros,
-            tenant: tenant.to_string(),
-            conn,
-            body,
-        };
-        let outcome = inner.0.append(frame);
+        let writer = &mut inner.0;
+        let outcome = writer
+            .stage_printed((delta_micros, tenant, conn), body)
+            .and_then(|_| writer.flush());
         // The delta clock advances even for dropped frames, so the
         // pacing of later frames stays truthful.
         inner.1 = now;
         drop(inner);
         match outcome {
-            Ok(_) => {
+            Ok(()) => {
                 self.appended.fetch_add(1, Ordering::AcqRel);
             }
             Err(e) => {
@@ -581,6 +681,100 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    /// A frame drawn from `(kind, x, vectors, trace, tenant)`: a control
+    /// frame, or a select frame with `vectors` vectors whose payloads are
+    /// absent, all `null`, or a mix of nulls and values with escapes,
+    /// extreme numbers and nesting.
+    fn drawn_frame((kind, x, vectors, trace, tenant): (u8, f64, usize, u64, u8)) -> RecordedFrame {
+        let payload = |i: usize| match (i + kind as usize) % 4 {
+            0 => Value::Null,
+            1 => Value::Array(vec![
+                Value::Float(x),
+                Value::Int(i64::MIN),
+                Value::UInt(u64::MAX),
+            ]),
+            2 => Value::String("q\"\\/\n\u{1}é 😀".into()),
+            _ => Value::Object(vec![(
+                "k".into(),
+                Value::Array(vec![Value::Object(vec![])]),
+            )]),
+        };
+        let body = match kind {
+            0 => FrameBody::Control {
+                kind: ["Hello", "Stats", "q\"é"][vectors % 3].to_string(),
+            },
+            _ => FrameBody::Select {
+                features: (0..vectors).map(|i| fv(x + i as f64)).collect(),
+                payloads: match kind {
+                    1 => Vec::new(),
+                    2 => vec![Value::Null; vectors],
+                    _ => (0..vectors).map(payload).collect(),
+                },
+                trace: (trace > 0).then_some(intune_core::TraceContext {
+                    trace_id: trace,
+                    parent_span: trace >> 3,
+                    sampled: trace % 2 == 0,
+                }),
+            },
+        };
+        RecordedFrame {
+            seq: 0,
+            delta_micros: x.abs() as u64,
+            tenant: ["sort", "q\"\\é"][tenant as usize % 2].to_string(),
+            conn: trace % 5,
+            body,
+        }
+    }
+
+    fn derive_encoding(frame: &RecordedFrame) -> Vec<u8> {
+        codec::encode_record(DATALOG_SCHEMA, DATALOG_VERSION, serde_json::to_value(frame)).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The recorder's one encoder writes exactly the bytes of the
+        /// derive encoding, `encode_record(to_value(&frame))`, whether
+        /// the writer stages a frame or the sink records a body: select
+        /// frames with and without payloads, `null` payloads among them,
+        /// with and without a trace, and control frames.
+        #[test]
+        fn encoder_writes_the_derive_encoding(
+            specs in proptest::collection::vec((0u8..4, -1e3f64..1e3, 0usize..4, 0u64..4, 0u8..2), 1..5),
+        ) {
+            let frames: Vec<RecordedFrame> = specs
+                .into_iter()
+                .enumerate()
+                .map(|(seq, spec)| RecordedFrame { seq: seq as u64, ..drawn_frame(spec) })
+                .collect();
+            let oracle: Vec<u8> = frames.iter().flat_map(derive_encoding).collect();
+            let dir = tmp("encoder");
+            let mut writer = RecordingWriter::open(&dir, RecordingOptions::default()).unwrap();
+            for frame in &frames {
+                writer.stage(frame.clone()).unwrap();
+            }
+            proptest::prop_assert_eq!(&writer.pending, &oracle);
+            drop(writer);
+
+            // The sink stamps its own deltas: compare each stored frame
+            // with the derive encoding of what it read back.
+            let dir = tmp("encoder-sink");
+            let sink = RecorderSink::open(&dir, RecordingOptions::default()).unwrap();
+            for frame in &frames {
+                sink.record(&frame.tenant, frame.conn, frame.body.clone());
+            }
+            let stored = read_segment(&segment_path(&dir, 0)).unwrap().frames;
+            proptest::prop_assert_eq!(stored.len(), frames.len());
+            let mut expected = Vec::new();
+            for (frame, back) in frames.iter().zip(&stored) {
+                let frame = RecordedFrame { delta_micros: back.delta_micros, ..frame.clone() };
+                expected.extend(derive_encoding(&frame));
+            }
+            proptest::prop_assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), expected);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -146,6 +146,44 @@ impl From<JournalRecord> for LazyRecord<'static> {
     }
 }
 
+/// A journal record's fields, borrowed, with its payload printed: what the
+/// writer encodes. One encoder serves both the in-memory record
+/// ([`JournalWriter::stage`]) and the served batch ([`JournalSink`]).
+struct RecordParts<'a> {
+    revision: u64,
+    landmark: u64,
+    out_of_distribution: bool,
+    fell_back: bool,
+    features: &'a FeatureVector,
+    /// The payload's canonical print; `None` or `null` for none.
+    payload: Option<&'a str>,
+    trace_id: Option<u64>,
+}
+
+impl RecordParts<'_> {
+    /// Appends the record, stamped `seq`, as `serde_json::to_string`
+    /// prints the same [`JournalRecord`]: fields in declaration order, a
+    /// `None` or `null` field left out, the payload text spliced in.
+    fn print(&self, seq: u64, out: &mut Vec<u8>) {
+        let _ = write!(
+            out,
+            "{{\"seq\":{seq},\"revision\":{},\"landmark\":{},\"out_of_distribution\":{},\
+             \"fell_back\":{},\"features\":",
+            self.revision, self.landmark, self.out_of_distribution, self.fell_back
+        );
+        let features = serde_json::to_string(self.features).expect("value printing is infallible");
+        out.extend_from_slice(features.as_bytes());
+        if let Some(payload) = self.payload.filter(|p| *p != "null") {
+            out.extend_from_slice(b",\"payload\":");
+            out.extend_from_slice(payload.as_bytes());
+        }
+        if let Some(trace_id) = self.trace_id {
+            let _ = write!(out, ",\"trace_id\":{trace_id}");
+        }
+        out.push(b'}');
+    }
+}
+
 /// Journal writer tunables.
 #[derive(Debug, Clone)]
 pub struct JournalOptions {
@@ -408,13 +446,30 @@ impl JournalWriter {
     /// overwritten with the journal's next sequence number, which is
     /// returned), rotating to a fresh segment — flushing first — when the
     /// active one is full. Nothing reaches disk until
-    /// [`JournalWriter::flush`].
+    /// [`JournalWriter::flush`]. The payload is printed once.
     ///
     /// # Errors
     /// Returns [`Error::Artifact`] on an unencodable (oversized) record
     /// or a rotation failure; the sequence number is not consumed on
     /// failure.
-    pub fn stage(&mut self, mut record: JournalRecord) -> Result<u64> {
+    pub fn stage(&mut self, record: JournalRecord) -> Result<u64> {
+        let payload = record
+            .payload
+            .as_ref()
+            .map(|v| serde_json::to_string(v).expect("value printing is infallible"));
+        self.stage_parts(&RecordParts {
+            revision: record.revision,
+            landmark: record.landmark,
+            out_of_distribution: record.out_of_distribution,
+            fell_back: record.fell_back,
+            features: &record.features,
+            payload: payload.as_deref(),
+            trace_id: record.trace_id,
+        })
+    }
+
+    /// [`JournalWriter::stage`] for a record's parts, its payload printed.
+    fn stage_parts(&mut self, record: &RecordParts) -> Result<u64> {
         if self.records_in_segment >= self.opts.segment_max_records.max(1) {
             self.flush()?;
             // Seal the full segment durably before rotating away from it:
@@ -431,17 +486,14 @@ impl JournalWriter {
             })?;
             self.records_in_segment = 0;
         }
-        record.seq = self.next_seq;
-        let frame = codec::encode_record(
-            JOURNAL_SCHEMA,
-            JOURNAL_VERSION,
-            serde_json::to_value(&record),
-        )?;
-        self.pending.extend_from_slice(&frame);
+        let seq = self.next_seq;
+        codec::append_record(&mut self.pending, JOURNAL_SCHEMA, JOURNAL_VERSION, |out| {
+            record.print(seq, out)
+        })?;
         self.pending_records += 1;
         self.records_in_segment += 1;
         self.next_seq += 1;
-        Ok(record.seq)
+        Ok(seq)
     }
 
     /// Writes every pending frame in one syscall. On failure the pending
@@ -537,21 +589,11 @@ impl JournalSink {
 }
 
 impl TraceSink for JournalSink {
-    fn record_batch(
+    fn record_batch_printed(
         &self,
         revision: u64,
         features: &[FeatureVector],
-        payloads: &[Value],
-        selections: &[Selection],
-    ) {
-        self.record_batch_traced(revision, features, payloads, selections, None);
-    }
-
-    fn record_batch_traced(
-        &self,
-        revision: u64,
-        features: &[FeatureVector],
-        payloads: &[Value],
+        payloads: &[&str],
         selections: &[Selection],
         trace_id: Option<u64>,
     ) {
@@ -566,28 +608,23 @@ impl TraceSink for JournalSink {
         let durable_before = writer.durable();
         let mut error: Option<Error> = None;
         for (i, (fv, selection)) in features.iter().zip(selections).enumerate() {
-            let payload = payloads.get(i).filter(|v| !v.is_null()).cloned();
-            let record = JournalRecord {
-                seq: 0, // assigned by the writer
+            let record = RecordParts {
                 revision,
                 landmark: selection.landmark as u64,
                 out_of_distribution: selection.out_of_distribution,
                 fell_back: selection.fell_back,
-                features: fv.clone(),
-                payload,
+                features: fv,
+                payload: payloads.get(i).copied(),
                 trace_id,
             };
-            match writer.stage(record) {
-                Ok(_) => {}
-                Err(e) => {
-                    // An unrecordable record (e.g. an oversized payload)
-                    // or a failed rotation costs what it costs, never the
-                    // batch — and never a panic that would poison this
-                    // mutex. (A rotation failure inside `stage` may also
-                    // have lost earlier staged records; the durable
-                    // counter below accounts for those exactly.)
-                    error = Some(e);
-                }
+            if let Err(e) = writer.stage_parts(&record) {
+                // An unrecordable record (e.g. an oversized payload)
+                // or a failed rotation costs what it costs, never the
+                // batch — and never a panic that would poison this
+                // mutex. (A rotation failure inside `stage_parts` may
+                // also have lost earlier staged records; the durable
+                // counter below accounts for those exactly.)
+                error = Some(e);
             }
         }
         if let Err(e) = writer.flush() {
@@ -778,9 +815,9 @@ mod tests {
         ];
         let features = vec![r.features.clone(), r.features.clone()];
         let payloads = vec![Value::Array(vec![Value::Int(1)]), Value::Null];
-        sink.record_batch(7, &features, &payloads, &selections);
+        sink.record_batch_traced(7, &features, &payloads, &selections, None);
         // And a payload-free batch.
-        sink.record_batch(7, &features, &[], &selections);
+        sink.record_batch_printed(7, &features, &[], &selections, None);
         assert_eq!(sink.appended(), 4);
         assert_eq!(sink.dropped(), 0);
         assert!(sink.last_error().is_none());
@@ -813,11 +850,12 @@ mod tests {
         // the sink must drop the record, not panic under its mutex and
         // take every later selection down with it.
         let huge = Value::String("x".repeat(intune_core::codec::MAX_RECORD_BYTES + 1024));
-        sink.record_batch(
+        sink.record_batch_traced(
             1,
             &[fv.clone(), fv.clone()],
             &[huge, Value::Null],
             &[selection, selection],
+            None,
         );
         assert_eq!(sink.dropped(), 1, "only the oversized record is lost");
         assert_eq!(sink.appended(), 1, "the rest of the batch lands");
@@ -825,7 +863,7 @@ mod tests {
         assert!(err.to_string().contains("frame cap"), "{err}");
 
         // The sink (and its mutex) survive: later batches still journal.
-        sink.record_batch(1, &[fv], &[], &[selection]);
+        sink.record_batch_printed(1, &[fv], &[], &[selection], None);
         assert_eq!(sink.appended(), 2);
         let scan = read_segment(&segment_path(&dir, 0)).unwrap();
         assert!(scan.torn.is_none());
@@ -963,6 +1001,74 @@ mod tests {
         let mut frame = (body.len() as u32).to_be_bytes().to_vec();
         frame.extend_from_slice(body.as_bytes());
         frame
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The journal's one encoder writes exactly the bytes of the
+        /// derive encoding, `encode_record(to_value(&record))`, whether
+        /// it stages an in-memory record or the sink journals a batch of
+        /// printed payloads: with and without a payload, with a `null`
+        /// one, with and without a trace id, non-finite floats included.
+        #[test]
+        fn encoder_writes_the_derive_encoding(
+            specs in prop::collection::vec((0usize..7, -1e3f64..1e3, 0u64..1 << 20, 0u8..8), 1..5),
+            trace in 0u64..3,
+        ) {
+            let records: Vec<JournalRecord> = specs
+                .iter()
+                .enumerate()
+                .map(|(seq, &(kind, x, landmark, flags))| {
+                    let x = if flags & 4 == 4 { f64::NAN } else { x };
+                    JournalRecord {
+                        landmark,
+                        out_of_distribution: flags & 1 == 1,
+                        fell_back: flags & 2 == 2,
+                        payload: if kind == 6 { Some(Value::Null) } else { tricky_payload(kind, x) },
+                        trace_id: (trace > 0).then_some(trace << 40),
+                        ..record(seq as u64, x)
+                    }
+                })
+                .collect();
+            let oracle: Vec<u8> = records
+                .iter()
+                .flat_map(|r| {
+                    codec::encode_record(JOURNAL_SCHEMA, JOURNAL_VERSION, serde_json::to_value(r))
+                        .unwrap()
+                })
+                .collect();
+
+            let dir = tmp("encoder");
+            let mut writer = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
+            for r in &records {
+                writer.stage(r.clone()).unwrap();
+            }
+            prop_assert_eq!(&writer.pending, &oracle);
+            drop(writer);
+
+            let dir = tmp("encoder-sink");
+            let sink = JournalSink::open(&dir, JournalOptions::default()).unwrap();
+            let features: Vec<FeatureVector> = records.iter().map(|r| r.features.clone()).collect();
+            let payloads: Vec<Value> = records
+                .iter()
+                .map(|r| r.payload.clone().unwrap_or(Value::Null))
+                .collect();
+            let selections: Vec<Selection> = records
+                .iter()
+                .map(|r| Selection {
+                    landmark: r.landmark as usize,
+                    extraction_cost: 0.0,
+                    out_of_distribution: r.out_of_distribution,
+                    fell_back: r.fell_back,
+                })
+                .collect();
+            let revision = records[0].revision;
+            let trace_id = records[0].trace_id;
+            sink.record_batch_traced(revision, &features, &payloads, &selections, trace_id);
+            prop_assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), oracle);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// Bytes that keep a mutated record close to JSON, letters included

@@ -91,7 +91,7 @@ pub mod vector;
 pub use artifact::{ModelArtifact, ARTIFACT_MIN_VERSION, ARTIFACT_SCHEMA, ARTIFACT_VERSION};
 pub use journal::{JournalOptions, JournalRecord, JournalSink, JournalWriter, LazyRecord};
 pub use service::{Selection, SelectorService, ServeOptions, ServeStats};
-pub use trace::TraceSink;
+pub use trace::{print_payloads, TraceSink};
 pub use vector::VectorService;
 
 /// Shared fixtures for this crate's unit tests.

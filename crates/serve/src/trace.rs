@@ -15,6 +15,11 @@
 //! path (the trait is infallible — a sink that cannot persist buffers the
 //! error internally) and are called *after* the selections and drift
 //! counters are final, so tracing can never change an answer.
+//!
+//! Payloads reach a sink printed: each is the JSON text
+//! `serde_json::to_string` gives for it, which a journal stores as it
+//! is. A daemon hands over a canonical client's wire text unchanged and
+//! prints any other payload once; [`print_payloads`] is that print.
 
 use crate::service::Selection;
 use intune_core::FeatureVector;
@@ -24,23 +29,24 @@ use serde_json::Value;
 pub trait TraceSink: Send + Sync {
     /// Called once per answered request/batch with parallel slices:
     /// `selections[i]` answered `features[i]`. `payloads` is either empty
-    /// (the caller had no raw inputs to attach) or parallel too, with
-    /// `Value::Null` marking vectors that arrived without a payload.
-    /// `revision` is the rollout revision of the artifact that answered.
-    fn record_batch(
+    /// (the caller had no raw inputs to attach) or parallel too, each the
+    /// canonical JSON print of a payload, with `null` marking vectors that
+    /// arrived without one. `revision` is the rollout revision of the
+    /// artifact that answered, and `trace_id` the request's trace id when
+    /// the batch arrived inside a sampled trace: the journal stamps it
+    /// onto every record, which is how a retrain cycle can later name the
+    /// traces whose inputs it consumed.
+    fn record_batch_printed(
         &self,
         revision: u64,
         features: &[FeatureVector],
-        payloads: &[Value],
+        payloads: &[&str],
         selections: &[Selection],
+        trace_id: Option<u64>,
     );
 
-    /// [`TraceSink::record_batch`] plus the request's trace id, when the
-    /// batch arrived inside a sampled trace. The default forwards to
-    /// `record_batch`, so sinks that do not care about tracing (tests,
-    /// counters) implement nothing; the journal overrides it to stamp
-    /// the id onto every record — that is how a retrain cycle can later
-    /// name the traces whose inputs it consumed.
+    /// [`TraceSink::record_batch_printed`] for payloads as values: prints
+    /// each once and hands the texts over.
     fn record_batch_traced(
         &self,
         revision: u64,
@@ -49,8 +55,9 @@ pub trait TraceSink: Send + Sync {
         selections: &[Selection],
         trace_id: Option<u64>,
     ) {
-        let _ = trace_id;
-        self.record_batch(revision, features, payloads, selections);
+        let printed = print_payloads(payloads);
+        let texts: Vec<&str> = printed.iter().map(String::as_str).collect();
+        self.record_batch_printed(revision, features, &texts, selections, trace_id);
     }
 
     /// Total records this sink has durably recorded (0 for sinks that do
@@ -64,6 +71,14 @@ pub trait TraceSink: Send + Sync {
     fn dropped(&self) -> u64 {
         0
     }
+}
+
+/// The canonical JSON print of each payload, in order.
+pub fn print_payloads(payloads: &[Value]) -> Vec<String> {
+    payloads
+        .iter()
+        .map(|p| serde_json::to_string(p).expect("value printing is infallible"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -81,12 +96,13 @@ pub(crate) mod testutil {
     }
 
     impl TraceSink for CountingSink {
-        fn record_batch(
+        fn record_batch_printed(
             &self,
             revision: u64,
             features: &[FeatureVector],
-            payloads: &[Value],
+            payloads: &[&str],
             selections: &[Selection],
+            _trace_id: Option<u64>,
         ) {
             assert_eq!(features.len(), selections.len());
             assert!(payloads.is_empty() || payloads.len() == features.len());

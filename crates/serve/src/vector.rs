@@ -18,7 +18,7 @@
 use crate::artifact::ModelArtifact;
 use crate::monitor::DriftMonitor;
 use crate::service::{Selection, ServeOptions, ServeStats};
-use crate::trace::TraceSink;
+use crate::trace::{print_payloads, TraceSink};
 use intune_core::{
     Configuration, Error, FeatureSample, FeatureSet, FeatureVector, Result, TraceContext,
 };
@@ -291,11 +291,12 @@ impl VectorService {
         let z = self.artifact.normalizer.transform(&fv.dense());
         let selection = self.answer(1, false, |_, _| self.classify_vector(fv, Some(&z)))[0];
         if let Some(trace) = &self.trace {
-            trace.record_batch(
+            trace.record_batch_printed(
                 self.artifact.revision,
                 std::slice::from_ref(fv),
                 &[],
                 std::slice::from_ref(&selection),
+                None,
             );
         }
         Ok(selection)
@@ -310,7 +311,7 @@ impl VectorService {
     /// # Errors
     /// Returns [`Error::Artifact`] naming the first ill-shaped vector.
     pub fn select_vector_batch(&self, vectors: &[FeatureVector]) -> Result<Vec<Selection>> {
-        self.select_vector_batch_traced(vectors, &[])
+        self.select_vector_batch_printed(vectors, &[], None)
     }
 
     /// [`VectorService::select_vector_batch`] with opaque raw-input
@@ -338,6 +339,8 @@ impl VectorService {
     /// size, drift score, and fallback/probe verdicts, and the journal
     /// sink receives the trace id alongside the records. Selections are
     /// byte-identical to the untraced path — observation never steers.
+    /// Each payload is printed once, for the trace sink, when one is
+    /// attached.
     ///
     /// # Errors
     /// Same as [`VectorService::select_vector_batch_traced`].
@@ -347,15 +350,29 @@ impl VectorService {
         payloads: &[serde_json::Value],
         trace: Option<&TraceContext>,
     ) -> Result<Vec<Selection>> {
+        check_parallel(vectors, payloads.len())?;
+        let printed = match &self.trace {
+            Some(_) => print_payloads(payloads),
+            None => Vec::new(),
+        };
+        let texts: Vec<&str> = printed.iter().map(String::as_str).collect();
+        self.select_vector_batch_printed(vectors, &texts, trace)
+    }
+
+    /// [`VectorService::select_vector_batch_observed`] with each payload
+    /// already printed: its canonical JSON text (`null` = no payload),
+    /// which the trace sink receives as it is.
+    ///
+    /// # Errors
+    /// Same as [`VectorService::select_vector_batch_traced`].
+    pub fn select_vector_batch_printed(
+        &self,
+        vectors: &[FeatureVector],
+        payloads: &[&str],
+        trace: Option<&TraceContext>,
+    ) -> Result<Vec<Selection>> {
         let started = std::time::Instant::now();
-        if !payloads.is_empty() && payloads.len() != vectors.len() {
-            return Err(Error::artifact(format!(
-                "batch ships {} payloads for {} vectors; payloads must be \
-                 absent or parallel",
-                payloads.len(),
-                vectors.len()
-            )));
-        }
+        check_parallel(vectors, payloads.len())?;
         for (i, fv) in vectors.iter().enumerate() {
             self.validate_vector(fv)
                 .map_err(|e| Error::artifact(format!("batch vector {i}: {e}")))?;
@@ -374,7 +391,7 @@ impl VectorService {
         });
         let sampled = trace.filter(|ctx| ctx.sampled && ctx.trace_id != 0);
         if let Some(sink) = &self.trace {
-            sink.record_batch_traced(
+            sink.record_batch_printed(
                 self.artifact.revision,
                 vectors,
                 payloads,
@@ -402,6 +419,19 @@ impl VectorService {
         }
         Ok(selections)
     }
+}
+
+/// Refuses a batch whose payloads are neither absent nor parallel to its
+/// vectors.
+fn check_parallel(vectors: &[FeatureVector], payloads: usize) -> Result<()> {
+    if payloads == 0 || payloads == vectors.len() {
+        return Ok(());
+    }
+    Err(Error::artifact(format!(
+        "batch ships {payloads} payloads for {} vectors; payloads must be \
+         absent or parallel",
+        vectors.len()
+    )))
 }
 
 #[cfg(test)]
