@@ -232,7 +232,7 @@ impl CaseVisitor for RetrainVisitor<'_> {
         // The shared lifecycle log must tell the cycle's whole story:
         // the controller's stage, the gate's promote, and the cycle's
         // own outcome record.
-        let logged = intune_obs::read_events(&events_path)?.events;
+        let logged = intune_obs::read_events(&events_path)?.records;
         let cycle = logged
             .iter()
             .find_map(|e| match &e.kind {

@@ -296,6 +296,17 @@ pub struct RecordScan<T = Value> {
     pub torn: Option<Error>,
 }
 
+impl<T> RecordScan<T> {
+    /// The same scan with every record mapped through `f`.
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> RecordScan<U> {
+        RecordScan {
+            records: self.records.into_iter().map(f).collect(),
+            consumed: self.consumed,
+            torn: self.torn,
+        }
+    }
+}
+
 /// Walks a byte stream of [`encode_record`] frames, returning every
 /// complete record and a **typed** description of the torn tail (if any)
 /// — never a panic, whatever the truncation offset. Scanning stops at the

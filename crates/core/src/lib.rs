@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod applog;
 mod benchmark;
 pub mod codec;
 mod config;

@@ -60,7 +60,7 @@ fn main() {
     let mut journal_dir: Option<PathBuf> = None;
     let mut journal_segment = JournalOptions::default().segment_max_records;
     let mut record_dir: Option<PathBuf> = None;
-    let mut record_segment = RecordingOptions::default().segment_max_frames;
+    let mut record_segment = RecordingOptions::default().segment_max_records;
     let mut listen = ListenConfig::default();
     let mut opts = DaemonOptions::default();
     // Staged shadows keep their own (default: armed) drift monitor even
@@ -194,11 +194,11 @@ fn open_journal(dir: &Path, segment_max_records: usize) -> Arc<dyn TraceSink> {
     Arc::new(sink)
 }
 
-fn open_recorder(dir: &Path, segment_max_frames: usize) -> Arc<RecorderSink> {
+fn open_recorder(dir: &Path, segment_max_records: usize) -> Arc<RecorderSink> {
     let sink = RecorderSink::open(
         dir,
         RecordingOptions {
-            segment_max_frames,
+            segment_max_records,
             ..RecordingOptions::default()
         },
     )

@@ -1021,7 +1021,7 @@ mod tests {
 
         let scan = read_events(&path).unwrap();
         assert!(scan.torn.is_none(), "clean shutdown leaves no torn tail");
-        let events = scan.events;
+        let events = scan.records;
         assert!(
             events
                 .iter()
@@ -1096,7 +1096,7 @@ mod tests {
 
         let scan = read_span_dir(&dir).unwrap();
         assert!(scan.torn.is_none(), "clean shutdown leaves no torn tails");
-        let spans = scan.spans;
+        let spans = scan.records;
         let client_span = spans
             .iter()
             .find(|s| s.name == "client.select_batch")

@@ -35,7 +35,7 @@ pub use playback::{
     ReplayTarget,
 };
 pub use recording::{
-    list_segments, load_recording, read_segment, segment_index, segment_path, FrameBody,
-    PrintedBody, RecordedFrame, RecorderSink, Recording, RecordingOptions, RecordingWriter,
-    SegmentScan, DATALOG_SCHEMA, DATALOG_VERSION, SEGMENT_PREFIX, SEGMENT_SUFFIX,
+    load_recording, read_segment, segment_path, DatalogFormat, FrameBody, PrintedBody,
+    RecordedFrame, RecorderSink, Recording, RecordingOptions, RecordingWriter, DATALOG_SCHEMA,
+    DATALOG_VERSION, SEGMENT_PREFIX,
 };

@@ -52,14 +52,14 @@ fn main() {
         }
     };
     let mut out = std::io::stdout();
-    for event in &scan.events {
+    for event in &scan.records {
         emit(&mut out, event, json);
     }
     if !follow {
         if let Some(torn) = &scan.torn {
             eprintln!(
                 "intune_obs_dump: torn tail after {} complete events ({} clean bytes): {torn}",
-                scan.events.len(),
+                scan.records.len(),
                 scan.consumed
             );
         }
@@ -70,20 +70,20 @@ fn main() {
     // from byte 0 and skipping the printed prefix is race-free; a
     // half-written frame just parks us until the next poll. A log that
     // shrinks (rotation, truncate-on-reopen) restarts the tail.
-    let mut seen = scan.events.len();
+    let mut seen = scan.records.len();
     loop {
         std::thread::sleep(std::time::Duration::from_millis(200));
         let scan = match read_events(&path) {
             Ok(scan) => scan,
             Err(_) => continue, // transiently unreadable: keep polling
         };
-        if scan.events.len() < seen {
+        if scan.records.len() < seen {
             seen = 0;
         }
-        for event in &scan.events[seen..] {
+        for event in &scan.records[seen..] {
             emit(&mut out, event, json);
         }
-        seen = scan.events.len();
+        seen = scan.records.len();
     }
 }
 

@@ -82,7 +82,7 @@ fn main() {
         if let Some(torn) = scan.torn {
             eprintln!("intune_trace: torn tail in {arg}: {torn}");
         }
-        spans.extend(scan.spans);
+        spans.extend(scan.records);
     }
 
     // trace id -> spans, insertion-ordered within a trace (append order

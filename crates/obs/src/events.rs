@@ -1,33 +1,23 @@
 //! The structured lifecycle event log.
 //!
 //! One append-only file of [`intune_core::codec::encode_record`] frames
-//! (schema `intune-obs-event` v1, the same 4-byte-length + checksummed
-//! compact-JSON envelope the selection journal uses), each frame one
-//! [`Event`]: a monotone sequence number, a wall-clock unix-millisecond
-//! timestamp, the tenant and revision it concerns, and a typed
-//! [`EventKind`]. Appends are **best-effort and infallible at the call
-//! site**: the serving path must never fail or block on observability,
-//! so an append that cannot be encoded or written is counted in
-//! [`EventLog::dropped`] and otherwise ignored — the same contract the
-//! datalog recorder tap makes.
-//!
-//! Crash tolerance mirrors the journal: [`EventLog::open`] scans an
-//! existing file with [`intune_core::codec::scan_records`], keeps every
-//! complete event, truncates a torn tail (a crash mid-append), and
-//! resumes the sequence after the highest recovered `seq`. Readers use
+//! (schema `intune-obs-event` v1), each frame one [`Event`]: a monotone
+//! sequence number, a wall-clock unix-millisecond timestamp, the tenant
+//! and revision it concerns, and a typed [`EventKind`]. The file is an
+//! [`intune_core::applog::FileLog`]: opening it truncates a torn tail and
+//! resumes the sequence, and appends are **best-effort and infallible at
+//! the call site** — the serving path must never fail or block on
+//! observability, so an append that cannot be encoded or written is
+//! counted in [`EventLog::dropped`] and otherwise ignored. Readers use
 //! [`read_events`]/[`scan_events`], which type the torn tail instead of
-//! panicking — truncation at *any* byte offset recovers every complete
-//! event (pinned by a property test).
+//! panicking.
 
 use crate::LatencySummary;
-use intune_core::codec::{encode_record, scan_records};
-use intune_core::{Error, Result};
+use intune_core::applog::{self, FileLog};
+use intune_core::codec::RecordScan;
+use intune_core::Result;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event-log record schema name.
@@ -130,60 +120,25 @@ pub struct Event {
 }
 
 /// The crash-tolerant append-side handle. Cheap to share behind an
-/// `Arc`; appends serialize on an internal mutex but assemble the frame
-/// outside it and issue exactly one `write(2)` per event.
-pub struct EventLog {
-    path: PathBuf,
-    file: Mutex<File>,
-    seq: AtomicU64,
-    appended: AtomicU64,
-    dropped: AtomicU64,
-}
+/// `Arc`; appends serialize on an internal mutex, which also stamps each
+/// event's `seq`, so events reach the file in `seq` order, and each
+/// issues exactly one `write(2)`.
+#[derive(Debug)]
+pub struct EventLog(FileLog);
 
 impl EventLog {
     /// Opens (or creates) the event log at `path`, recovering from a
     /// torn tail: complete events are kept, the tail is truncated, and
-    /// the sequence resumes after the highest recovered `seq`.
+    /// the sequence resumes after the last recovered `seq`.
     ///
     /// # Errors
-    /// Returns [`Error::Artifact`] when the file cannot be read,
-    /// created, or truncated.
+    /// Returns [`intune_core::Error::Artifact`] when the file cannot be
+    /// read, created, or truncated.
     pub fn open(path: &Path) -> Result<EventLog> {
-        let (consumed, next_seq) = match std::fs::read(path) {
-            Ok(bytes) => {
-                let scan = scan_events(&bytes);
-                let next = scan.events.last().map_or(0, |e| e.seq + 1);
-                (Some(scan.consumed as u64), next)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (None, 0),
-            Err(e) => {
-                return Err(Error::artifact(format!(
-                    "cannot read event log {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| {
-                Error::artifact(format!("cannot open event log {}: {e}", path.display()))
-            })?;
-        if let Some(consumed) = consumed {
-            // Drop the torn tail so the next append starts on a frame
-            // boundary (append mode positions at EOF = consumed).
-            file.set_len(consumed).map_err(|e| {
-                Error::artifact(format!("cannot truncate event log {}: {e}", path.display()))
-            })?;
-        }
-        Ok(EventLog {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            seq: AtomicU64::new(next_seq),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+        FileLog::open(path, EVENT_SCHEMA, EVENT_VERSION, |bytes| {
+            scan_events(bytes).map(|e| e.seq)
         })
+        .map(EventLog)
     }
 
     /// Appends one event, best-effort. Never returns an error and never
@@ -191,70 +146,31 @@ impl EventLog {
     /// and the caller proceeds — observability must not take down
     /// serving.
     pub fn record(&self, tenant: &str, revision: u64, kind: EventKind) {
-        let event = Event {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            unix_ms: unix_ms_now(),
-            tenant: tenant.to_string(),
-            revision,
-            kind,
-        };
-        // Assemble the full frame outside the writer lock; hold it only
-        // for the single write(2).
-        let value = serde_json::to_value(&event);
-        let Ok(frame) = encode_record(EVENT_SCHEMA, EVENT_VERSION, value) else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut file = match self.file.lock() {
-            Ok(file) => file,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if file.write_all(&frame).is_ok() {
-            self.appended.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Where the log lives.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.0.append(|seq, out| {
+            let event = Event {
+                seq,
+                unix_ms: unix_ms_now(),
+                tenant: tenant.to_string(),
+                revision,
+                kind,
+            };
+            let text = serde_json::to_string(&event).expect("value printing is infallible");
+            out.extend_from_slice(text.as_bytes());
+        });
     }
 
     /// Events successfully appended by this handle (not counting those
     /// recovered from a previous process).
     #[must_use]
     pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
+        self.0.appended()
     }
 
     /// Events this handle failed to append (encode or IO error).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.dropped()
     }
-}
-
-impl std::fmt::Debug for EventLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventLog")
-            .field("path", &self.path)
-            .field("appended", &self.appended())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-/// Outcome of scanning an event-log byte stream.
-#[derive(Debug)]
-pub struct EventScan {
-    /// Every complete, checksum-verified event, in append order.
-    pub events: Vec<Event>,
-    /// Bytes the complete events consumed (the safe truncation point).
-    pub consumed: usize,
-    /// Typed description of a torn or corrupt tail, if any.
-    pub torn: Option<Error>,
 }
 
 /// Scans a byte stream of event-log frames. Never panics: truncation at
@@ -262,37 +178,18 @@ pub struct EventScan {
 /// A frame whose payload no longer deserializes as an [`Event`] (schema
 /// drift) also stops the scan with a typed error.
 #[must_use]
-pub fn scan_events(bytes: &[u8]) -> EventScan {
-    let scan = scan_records(bytes, EVENT_SCHEMA, EVENT_VERSION);
-    let mut events = Vec::with_capacity(scan.records.len());
-    let mut torn = scan.torn;
-    for value in scan.records {
-        match serde_json::from_value::<Event>(&value) {
-            Ok(event) => events.push(event),
-            Err(e) => {
-                torn = Some(Error::artifact(format!(
-                    "event record does not deserialize: {e}"
-                )));
-                break;
-            }
-        }
-    }
-    EventScan {
-        events,
-        consumed: scan.consumed,
-        torn,
-    }
+pub fn scan_events(bytes: &[u8]) -> RecordScan<Event> {
+    applog::scan_as(bytes, EVENT_SCHEMA, EVENT_VERSION, &"event log")
 }
 
 /// Reads and scans the event log at `path`.
 ///
 /// # Errors
-/// Returns [`Error::Artifact`] when the file cannot be read. A torn
-/// tail is *not* an error — it comes back typed in [`EventScan::torn`].
-pub fn read_events(path: &Path) -> Result<EventScan> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read event log {}: {e}", path.display())))?;
-    Ok(scan_events(&bytes))
+/// Returns [`intune_core::Error::Artifact`] when the file cannot be read.
+/// A torn tail is *not* an error — it comes back typed in
+/// [`RecordScan::torn`].
+pub fn read_events(path: &Path) -> Result<RecordScan<Event>> {
+    Ok(scan_events(&applog::read_file(path)?))
 }
 
 /// Current wall clock as milliseconds since the unix epoch (0 if the
@@ -307,6 +204,7 @@ pub fn unix_ms_now() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -334,13 +232,13 @@ mod tests {
         assert_eq!(log.dropped(), 0);
         let scan = read_events(&path).unwrap();
         assert!(scan.torn.is_none());
-        assert_eq!(scan.events.len(), 2);
-        assert_eq!(scan.events[0].seq, 0);
-        assert_eq!(scan.events[0].tenant, "sort");
-        assert_eq!(scan.events[0].kind, EventKind::TenantBound { conn: 7 });
-        assert_eq!(scan.events[1].seq, 1);
-        assert!(matches!(scan.events[1].kind, EventKind::Promoted { .. }));
-        assert!(scan.events[1].unix_ms >= scan.events[0].unix_ms);
+        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.records[0].seq, 0);
+        assert_eq!(scan.records[0].tenant, "sort");
+        assert_eq!(scan.records[0].kind, EventKind::TenantBound { conn: 7 });
+        assert_eq!(scan.records[1].seq, 1);
+        assert!(matches!(scan.records[1].kind, EventKind::Promoted { .. }));
+        assert!(scan.records[1].unix_ms >= scan.records[0].unix_ms);
     }
 
     #[test]
@@ -359,15 +257,39 @@ mod tests {
         log.record("a", 1, EventKind::TenantBound { conn: 2 });
         let scan = read_events(&path).unwrap();
         assert!(scan.torn.is_none(), "recovery left a torn tail");
-        let seqs: Vec<u64> = scan.events.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = scan.records.iter().map(|e| e.seq).collect();
         // Event 1 was torn away; the sequence resumes after the
         // highest *recovered* seq.
         assert_eq!(seqs, vec![0, 1]);
         assert_eq!(
-            scan.events[1].kind,
+            scan.records[1].kind,
             EventKind::TenantBound { conn: 2 },
             "resumed append must be the recovered-then-written event"
         );
+    }
+
+    #[test]
+    fn concurrent_appends_reach_the_file_in_seq_order() {
+        let path = tmp("concurrent");
+        let _ = std::fs::remove_file(&path);
+        let log = EventLog::open(&path).unwrap();
+        // Four threads start appending together.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (log, start) = (&log, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..2000 {
+                        log.record("t", t, EventKind::TenantBound { conn: i });
+                    }
+                });
+            }
+        });
+        let scan = read_events(&path).unwrap();
+        assert!(scan.torn.is_none());
+        let seqs: Vec<u64> = scan.records.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..8000).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -422,7 +344,7 @@ mod tests {
         }
         let scan = read_events(&path).unwrap();
         assert!(scan.torn.is_none());
-        let back: Vec<EventKind> = scan.events.into_iter().map(|e| e.kind).collect();
+        let back: Vec<EventKind> = scan.records.into_iter().map(|e| e.kind).collect();
         assert_eq!(back, kinds);
     }
 }

@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use counter::Counter;
 pub use events::{
-    read_events, scan_events, Event, EventKind, EventLog, EventScan, EVENT_SCHEMA, EVENT_VERSION,
+    read_events, scan_events, Event, EventKind, EventLog, EVENT_SCHEMA, EVENT_VERSION,
 };
 pub use expo::TextExposition;
 pub use histogram::{
@@ -45,6 +45,6 @@ pub use histogram::{
     SUB_BUCKETS,
 };
 pub use trace::{
-    read_span_dir, read_spans, scan_spans, IdMinter, Sampler, Span, SpanLog, SpanScan,
-    SPAN_LOG_SUFFIX, SPAN_SCHEMA, SPAN_VERSION,
+    read_span_dir, read_spans, scan_spans, IdMinter, Sampler, Span, SpanLog, SPAN_LOG_SUFFIX,
+    SPAN_SCHEMA, SPAN_VERSION,
 };

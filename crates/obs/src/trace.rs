@@ -4,8 +4,8 @@
 //! *which* request moved it, *which* stage spent the time, and *which*
 //! artifact revision answered. A [`Span`] is one timed operation inside
 //! a trace ([`intune_core::TraceContext`] names the trace); spans from
-//! every process append to a crash-tolerant [`SpanLog`] — the same
-//! checksummed-frame + torn-tail discipline as the [`EventLog`](crate::EventLog)
+//! every process append to a crash-tolerant [`SpanLog`] — an
+//! [`intune_core::applog::FileLog`] like the [`EventLog`](crate::EventLog)
 //! (schema `intune-obs-span` v1), equally best-effort-infallible on the
 //! record path.
 //!
@@ -18,14 +18,12 @@
 //! The `intune_trace` bin reconstructs trace trees from one or more
 //! span logs (client + daemon files side by side in one directory).
 
-use intune_core::codec::{encode_record, fnv1a64, scan_records};
+use intune_core::applog::{self, FileLog};
+use intune_core::codec::{fnv1a64, RecordScan};
 use intune_core::{Error, Result};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Span-log record schema name.
 pub const SPAN_SCHEMA: &str = "intune-obs-span";
@@ -172,12 +170,8 @@ impl IdMinter {
 /// at the call site — encode or IO failures count into `dropped`.
 ///
 /// [`EventLog`]: crate::EventLog
-pub struct SpanLog {
-    path: PathBuf,
-    file: Mutex<File>,
-    appended: AtomicU64,
-    dropped: AtomicU64,
-}
+#[derive(Debug)]
+pub struct SpanLog(FileLog);
 
 impl SpanLog {
     /// Opens (or creates) the span log at `path`, truncating a torn
@@ -187,130 +181,49 @@ impl SpanLog {
     /// Returns [`Error::Artifact`] when the file cannot be read,
     /// created, or truncated.
     pub fn open(path: &Path) -> Result<SpanLog> {
-        let consumed = match std::fs::read(path) {
-            Ok(bytes) => Some(scan_spans(&bytes).consumed as u64),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => {
-                return Err(Error::artifact(format!(
-                    "cannot read span log {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| {
-                Error::artifact(format!("cannot open span log {}: {e}", path.display()))
-            })?;
-        if let Some(consumed) = consumed {
-            file.set_len(consumed).map_err(|e| {
-                Error::artifact(format!("cannot truncate span log {}: {e}", path.display()))
-            })?;
-        }
-        Ok(SpanLog {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+        // Spans carry no sequence number: only the truncation matters.
+        FileLog::open(path, SPAN_SCHEMA, SPAN_VERSION, |bytes| {
+            scan_spans(bytes).map(|_| 0)
         })
+        .map(SpanLog)
     }
 
-    /// Appends one span, best-effort: the frame is assembled outside
-    /// the writer lock and written with one `write(2)`; failures count
-    /// into [`dropped`](Self::dropped) and never surface.
+    /// Appends one span, best-effort, with one `write(2)`; failures
+    /// count into [`dropped`](Self::dropped) and never surface.
     pub fn record(&self, span: &Span) {
-        let value = serde_json::to_value(span);
-        let Ok(frame) = encode_record(SPAN_SCHEMA, SPAN_VERSION, value) else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut file = match self.file.lock() {
-            Ok(file) => file,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if file.write_all(&frame).is_ok() {
-            self.appended.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Where the log lives.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.0.append(|_, out| {
+            let text = serde_json::to_string(span).expect("value printing is infallible");
+            out.extend_from_slice(text.as_bytes());
+        });
     }
 
     /// Spans successfully appended by this handle.
     #[must_use]
     pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
+        self.0.appended()
     }
 
     /// Spans this handle failed to append.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.dropped()
     }
-}
-
-impl std::fmt::Debug for SpanLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanLog")
-            .field("path", &self.path)
-            .field("appended", &self.appended())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-/// Outcome of scanning a span-log byte stream.
-#[derive(Debug)]
-pub struct SpanScan {
-    /// Every complete, checksum-verified span, in append order.
-    pub spans: Vec<Span>,
-    /// Bytes the complete spans consumed (the safe truncation point).
-    pub consumed: usize,
-    /// Typed description of a torn or corrupt tail, if any.
-    pub torn: Option<Error>,
 }
 
 /// Scans a byte stream of span-log frames: truncation at any offset
 /// yields every complete span plus a typed `torn` error, never a panic.
 #[must_use]
-pub fn scan_spans(bytes: &[u8]) -> SpanScan {
-    let scan = scan_records(bytes, SPAN_SCHEMA, SPAN_VERSION);
-    let mut spans = Vec::with_capacity(scan.records.len());
-    let mut torn = scan.torn;
-    for value in scan.records {
-        match serde_json::from_value::<Span>(&value) {
-            Ok(span) => spans.push(span),
-            Err(e) => {
-                torn = Some(Error::artifact(format!(
-                    "span record does not deserialize: {e}"
-                )));
-                break;
-            }
-        }
-    }
-    SpanScan {
-        spans,
-        consumed: scan.consumed,
-        torn,
-    }
+pub fn scan_spans(bytes: &[u8]) -> RecordScan<Span> {
+    applog::scan_as(bytes, SPAN_SCHEMA, SPAN_VERSION, &"span log")
 }
 
 /// Reads and scans the span log at `path`.
 ///
 /// # Errors
 /// Returns [`Error::Artifact`] when the file cannot be read. A torn
-/// tail is *not* an error — it comes back typed in [`SpanScan::torn`].
-pub fn read_spans(path: &Path) -> Result<SpanScan> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read span log {}: {e}", path.display())))?;
-    Ok(scan_spans(&bytes))
+/// tail is *not* an error — it comes back typed in [`RecordScan::torn`].
+pub fn read_spans(path: &Path) -> Result<RecordScan<Span>> {
+    Ok(scan_spans(&applog::read_file(path)?))
 }
 
 /// Sweeps every `*.spans.log` file in `dir` (name order, so output is
@@ -320,7 +233,7 @@ pub fn read_spans(path: &Path) -> Result<SpanScan> {
 /// # Errors
 /// Returns [`Error::Artifact`] when the directory cannot be listed or a
 /// log file cannot be read.
-pub fn read_span_dir(dir: &Path) -> Result<SpanScan> {
+pub fn read_span_dir(dir: &Path) -> Result<RecordScan<Span>> {
     let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| Error::artifact(format!("cannot list span dir {}: {e}", dir.display())))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -331,14 +244,14 @@ pub fn read_span_dir(dir: &Path) -> Result<SpanScan> {
         })
         .collect();
     names.sort();
-    let mut merged = SpanScan {
-        spans: Vec::new(),
+    let mut merged = RecordScan {
+        records: Vec::new(),
         consumed: 0,
         torn: None,
     };
     for path in names {
         let scan = read_spans(&path)?;
-        merged.spans.extend(scan.spans);
+        merged.records.extend(scan.records);
         merged.consumed += scan.consumed;
         if scan.torn.is_some() {
             merged.torn = scan.torn;
@@ -374,7 +287,7 @@ mod tests {
         assert_eq!(log.appended(), 1);
         let scan = read_spans(&path).unwrap();
         assert!(scan.torn.is_none());
-        assert_eq!(scan.spans, vec![span]);
+        assert_eq!(scan.records, vec![span]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -393,7 +306,7 @@ mod tests {
         log.record(&Span::new(1, 3, 1, "c", "-").lasting(30));
         let scan = read_spans(&path).unwrap();
         assert!(scan.torn.is_none(), "recovery left a torn tail");
-        let names: Vec<&str> = scan.spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = scan.records.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["a", "c"], "torn span dropped, log resumed");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -441,7 +354,7 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), b"not a span log").unwrap();
         let scan = read_span_dir(&dir).unwrap();
         assert!(scan.torn.is_none());
-        let names: Vec<&str> = scan.spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = scan.records.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["client.select_batch", "server.request"]);
         std::fs::remove_dir_all(&dir).ok();
     }

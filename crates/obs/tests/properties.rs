@@ -1,8 +1,8 @@
-//! Event-log durability property: a log truncated at **any** byte
-//! offset recovers every complete event with a typed torn tail — the
-//! obs mirror of the journal and recording truncation properties.
+//! Histogram snapshot properties: merging is associative on every
+//! readout surface. (The event log's crash tolerance is the workspace's
+//! shared log property, `tests/log_crash_tolerance.rs`.)
 
-use intune_obs::{scan_events, EventKind, EventLog, Histogram, HistogramSnapshot, LatencySummary};
+use intune_obs::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
 /// Builds a histogram from `(value, trace_id)` samples: zero trace id
@@ -42,46 +42,6 @@ fn assert_snap_eq(
     Ok(())
 }
 
-/// A deterministic spread over every event kind.
-fn kind(i: usize) -> EventKind {
-    match i % 7 {
-        0 => EventKind::TenantBound { conn: i as u64 },
-        1 => EventKind::ShadowStaged {
-            trained_inputs: (i * 10) as u64,
-        },
-        2 => EventKind::Promoted {
-            mirrored: 100 + i as u64,
-            agreed: 90 + i as u64,
-            agreement_rate: (90 + i) as f64 / (100 + i) as f64,
-        },
-        3 => EventKind::PromoteRejected {
-            reason: format!("gate unsatisfied at step {i}"),
-        },
-        4 => EventKind::DriftTripped {
-            probed: 64,
-            ood: i as u64 % 64,
-            trip_rate: (i % 64) as f64 / 64.0,
-        },
-        5 => EventKind::RetrainCycle {
-            outcome: "idle".to_string(),
-            detail: format!("cycle {i}"),
-            new_inputs: i as u64,
-            trace_ids: vec![i as u64 + 1],
-        },
-        _ => EventKind::LatencySnapshot {
-            latency: LatencySummary {
-                count: i as u64,
-                sum_ns: (i * 30) as u64,
-                p50_ns: 30,
-                p90_ns: 40,
-                p99_ns: 50,
-                p999_ns: 50,
-                max_ns: 50,
-            },
-        },
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -105,73 +65,5 @@ proptest! {
         let empty = Histogram::new().snapshot();
         assert_snap_eq(&a.merge(&empty), &a)?;
         assert_snap_eq(&empty.merge(&a), &a)?;
-    }
-
-    /// Event-log crash tolerance: truncation at **any** byte offset
-    /// recovers exactly the complete-event prefix, bit-faithful, and
-    /// types the torn tail — never a panic, never a phantom event.
-    #[test]
-    fn truncated_event_log_recovers_every_complete_event(
-        events in 1usize..10, cut_sel in 0usize..100_000,
-    ) {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-obs-prop-{}-{events}-{cut_sel}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.log");
-
-        // Write, recording every frame's end offset as a boundary.
-        let mut boundaries = vec![0usize];
-        {
-            let log = EventLog::open(&path).unwrap();
-            for i in 0..events {
-                log.record(&format!("tenant-{}", i % 2), i as u64, kind(i));
-                boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
-            }
-            prop_assert_eq!(log.appended(), events as u64);
-            prop_assert_eq!(log.dropped(), 0);
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        let clean = scan_events(&bytes);
-        prop_assert!(clean.torn.is_none());
-        prop_assert_eq!(clean.events.len(), events);
-
-        let cut = cut_sel % (bytes.len() + 1);
-        let scan = scan_events(&bytes[..cut]);
-        let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        prop_assert_eq!(
-            scan.events.len(), complete,
-            "cut at {} must keep exactly the complete prefix", cut
-        );
-        for (a, b) in scan.events.iter().zip(&clean.events) {
-            prop_assert_eq!(a, b, "recovered events are bit-faithful");
-        }
-        let on_boundary = boundaries.contains(&cut);
-        prop_assert_eq!(
-            scan.torn.is_none(), on_boundary,
-            "torn tail iff the cut splits a frame (cut at {})", cut
-        );
-        prop_assert_eq!(scan.consumed, *boundaries[..=complete].last().unwrap());
-        if let Some(torn) = scan.torn {
-            prop_assert!(
-                matches!(torn, intune_core::Error::Artifact { .. }),
-                "torn tail must be the typed artifact error, got {:?}", torn
-            );
-        }
-
-        // Reopening the truncated log recovers: the torn tail is
-        // dropped and the sequence resumes after the last survivor.
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        {
-            let log = EventLog::open(&path).unwrap();
-            log.record("post-crash", 0, EventKind::TenantBound { conn: 0 });
-        }
-        let reopened = scan_events(&std::fs::read(&path).unwrap());
-        prop_assert!(reopened.torn.is_none(), "recovery must leave a clean log");
-        prop_assert_eq!(reopened.events.len(), complete + 1);
-        prop_assert_eq!(reopened.events.last().unwrap().seq, complete as u64);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

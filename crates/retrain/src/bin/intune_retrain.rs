@@ -127,8 +127,8 @@ fn exit_code(outcome: Result<i32>) -> i32 {
 /// What one journal compaction did, as the cycle and dry-run logs print it.
 fn compaction_line(c: &CompactionReport) -> String {
     format!(
-        "compacted {} records from {} segments ({} new, {} merged, {} payloads parsed)",
-        c.records, c.segments, c.added, c.merged, c.payloads_parsed
+        "compacted {} records from {} segments ({} new, {} merged, {} payloads parsed, {} torn)",
+        c.records, c.segments, c.added, c.merged, c.payloads_parsed, c.torn_segments
     )
 }
 

@@ -171,7 +171,7 @@ fn compact_segments<S>(
     scan: S,
 ) -> Result<CompactionReport>
 where
-    S: for<'a> Fn(&Path, &'a [u8]) -> journal::SegmentScan<LazyRecord<'a>>,
+    S: for<'a> Fn(&Path, &'a [u8]) -> codec::RecordScan<LazyRecord<'a>>,
 {
     let mut report = CompactionReport::default();
     if !dir.exists() {
@@ -181,7 +181,7 @@ where
     let segments = journal::list_segments(dir)?;
     let last = segments.len().saturating_sub(1);
     for (i, path) in segments.iter().enumerate() {
-        let bytes = journal::read_segment_bytes(path)?;
+        let bytes = intune_core::applog::read_file(path)?;
         let scan = scan(path, &bytes);
         report.segments += 1;
         if scan.torn.is_some() {
@@ -823,7 +823,7 @@ mod tests {
     /// [`journal::scan_segment`] as the full parse spells it: every record
     /// through [`codec::scan_records`] and `from_value`, every payload
     /// parsed (and printed back to text for the offer).
-    fn full_parse_scan<'a>(path: &Path, bytes: &'a [u8]) -> journal::SegmentScan<LazyRecord<'a>> {
+    fn full_parse_scan<'a>(path: &Path, bytes: &'a [u8]) -> codec::RecordScan<LazyRecord<'a>> {
         let scan = codec::scan_records(bytes, journal::JOURNAL_SCHEMA, journal::JOURNAL_VERSION);
         let mut records = Vec::new();
         let mut torn = scan.torn;
@@ -839,7 +839,7 @@ mod tests {
                 }
             }
         }
-        journal::SegmentScan {
+        codec::RecordScan {
             records,
             consumed: scan.consumed,
             torn,

@@ -5,17 +5,12 @@
 //! vector, the chosen landmark, the drift/fallback outcome, the serving
 //! artifact's revision, and (when the client shipped one) an opaque
 //! raw-input payload. Records are framed with the workspace's checksummed
-//! record codec ([`intune_core::codec::encode_record`]): a 4-byte
-//! big-endian length prefix followed by a compact checksummed JSON
-//! envelope (`schema: "intune-request-journal"`, version 1).
-//!
-//! ## Segments
-//!
-//! A journal directory holds numbered segment files
-//! (`journal-00000000.seg`, `journal-00000001.seg`, …). The writer
-//! appends to the highest-numbered segment and rotates to a fresh one
-//! every `segment_max_records` records, so compaction can consume sealed
-//! segments while the daemon keeps appending to the active one.
+//! record codec ([`intune_core::codec::encode_record`]), schema
+//! `"intune-request-journal"`, version 1, in numbered segment files
+//! (`journal-00000000.seg`, …). Segments, rotation, the seal, torn tails,
+//! resuming and durability are those of every segmented log: see
+//! [`intune_core::applog`], which holds the writer and the sink. This
+//! module owns the record, its encoder and its reader.
 //!
 //! ## Reading
 //!
@@ -30,39 +25,18 @@
 //! accepted, and a tail reported torn, exactly as a full parse of every
 //! record would decide.
 //!
-//! ## Crash tolerance
-//!
-//! Appends are not atomic: a crash can leave a torn record at the end of
-//! the active segment. The scan recovers every complete,
-//! checksum-verified record and reports the torn tail as a **typed
-//! error** (never a panic, whatever the truncation offset — a property
-//! test pins this). On reopen, a writer never appends after a torn tail:
-//! it seals the damaged segment and starts a fresh one, so one crash
-//! costs at most the record being written, not the segment.
-//!
-//! ## Durability
-//!
-//! A flushed record has reached the kernel (it survives a process
-//! crash); a **sealed** segment has been `fdatasync`ed (it survives a
-//! power cut). The active segment is only synced per flush when
-//! [`JournalOptions::sync_every_flush`] is set — see
-//! [`JournalWriter::flush`] for the exact guarantee and the rationale
-//! for the default.
-//!
-//! The full on-disk format specification lives in
-//! `crates/retrain/README.md`.
+//! The record table lives in `crates/retrain/README.md`.
 
 use crate::service::Selection;
 use crate::trace::TraceSink;
-use intune_core::{codec, Error, FeatureVector, Result};
+use intune_core::applog::{self, SegmentFormat, SegmentOptions, SegmentSink, SegmentWriter};
+use intune_core::codec::RecordScan;
+use intune_core::{Error, FeatureVector, Result};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::borrow::Cow;
-use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Envelope schema name of journal records.
 pub const JOURNAL_SCHEMA: &str = "intune-request-journal";
@@ -70,8 +44,6 @@ pub const JOURNAL_SCHEMA: &str = "intune-request-journal";
 pub const JOURNAL_VERSION: u32 = 1;
 /// Segment file name prefix.
 pub const SEGMENT_PREFIX: &str = "journal-";
-/// Segment file name suffix.
-pub const SEGMENT_SUFFIX: &str = ".seg";
 
 /// One served selection, as persisted in the journal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -148,7 +120,7 @@ impl From<JournalRecord> for LazyRecord<'static> {
 
 /// A journal record's fields, borrowed, with its payload printed: what the
 /// writer encodes. One encoder serves both the in-memory record
-/// ([`JournalWriter::stage`]) and the served batch ([`JournalSink`]).
+/// ([`SegmentWriter::stage`]) and the served batch ([`JournalSink`]).
 struct RecordParts<'a> {
     revision: u64,
     landmark: u64,
@@ -184,91 +156,59 @@ impl RecordParts<'_> {
     }
 }
 
-/// Journal writer tunables.
-#[derive(Debug, Clone)]
-pub struct JournalOptions {
-    /// Records per segment before the writer rotates to a fresh file.
-    pub segment_max_records: usize,
-    /// Call `fdatasync` after every flush, not only at segment seal.
-    ///
-    /// Off by default: the journal feeds retraining, where losing the
-    /// last batch to a power cut costs a little training data, not
-    /// correctness — and a per-batch fsync would put a disk round trip
-    /// on the serving path. Turn it on when every served selection must
-    /// survive power loss.
-    pub sync_every_flush: bool,
-}
+/// Journal writer tunables (see [`intune_core::applog`]).
+pub type JournalOptions = SegmentOptions;
 
-impl Default for JournalOptions {
-    fn default() -> Self {
-        JournalOptions {
-            segment_max_records: 1024,
-            sync_every_flush: false,
+/// The journal's segment format: [`JournalRecord`]s, read back through
+/// [`scan_segment`].
+#[derive(Debug)]
+pub struct JournalFormat;
+
+impl SegmentFormat for JournalFormat {
+    const PREFIX: &'static str = SEGMENT_PREFIX;
+    const SCHEMA: &'static str = JOURNAL_SCHEMA;
+    const VERSION: u32 = JOURNAL_VERSION;
+    type Record = JournalRecord;
+
+    /// Prints the record with its payload printed once.
+    fn print(record: &JournalRecord, seq: u64, out: &mut Vec<u8>) {
+        let payload = record
+            .payload
+            .as_ref()
+            .map(|v| serde_json::to_string(v).expect("value printing is infallible"));
+        RecordParts {
+            revision: record.revision,
+            landmark: record.landmark,
+            out_of_distribution: record.out_of_distribution,
+            fell_back: record.fell_back,
+            features: &record.features,
+            payload: payload.as_deref(),
+            trace_id: record.trace_id,
         }
+        .print(seq, out);
+    }
+
+    /// Resumes without parsing a payload.
+    fn scan_seqs(path: &Path, bytes: &[u8]) -> RecordScan<u64> {
+        scan_segment(path, bytes).map(|r| r.record.seq)
     }
 }
 
-/// What a scan recovered from one segment file: [`JournalRecord`]s from
-/// [`read_segment`], [`LazyRecord`]s from [`scan_segment`].
-#[derive(Debug)]
-pub struct SegmentScan<R = JournalRecord> {
-    /// Every complete, checksum-verified record, in append order.
-    pub records: Vec<R>,
-    /// Bytes spanned by the complete frames, including any after a record
-    /// of an unexpected shape (the frame walk's own offset).
-    pub consumed: usize,
-    /// The typed error describing a torn or corrupt tail, if the file
-    /// does not end exactly on a record boundary.
-    pub torn: Option<Error>,
-}
+/// The append side of the journal: [`JournalRecord`]s staged and
+/// flushed, each stamped with the journal's next sequence number.
+pub type JournalWriter = SegmentWriter<JournalFormat>;
 
 /// Lists a journal directory's segment files, ascending by index.
 ///
 /// # Errors
 /// Returns [`Error::Artifact`] when the directory cannot be read.
 pub fn list_segments(dir: &Path) -> Result<Vec<PathBuf>> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| Error::artifact(format!("cannot read journal dir {}: {e}", dir.display())))?;
-    let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry =
-            entry.map_err(|e| Error::artifact(format!("cannot list {}: {e}", dir.display())))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(index) = name
-            .strip_prefix(SEGMENT_PREFIX)
-            .and_then(|rest| rest.strip_suffix(SEGMENT_SUFFIX))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            segments.push((index, entry.path()));
-        }
-    }
-    segments.sort_by_key(|(index, _)| *index);
-    Ok(segments.into_iter().map(|(_, path)| path).collect())
+    applog::list_segments(dir, SEGMENT_PREFIX)
 }
 
 /// Path of segment `index` inside `dir`.
 pub fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("{SEGMENT_PREFIX}{index:08}{SEGMENT_SUFFIX}"))
-}
-
-/// Index parsed back out of a segment path (None for foreign files).
-pub fn segment_index(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix(SEGMENT_PREFIX)?
-        .strip_suffix(SEGMENT_SUFFIX)?
-        .parse()
-        .ok()
-}
-
-/// Reads a segment file's bytes, for [`scan_segment`].
-///
-/// # Errors
-/// Returns [`Error::Artifact`] when the file cannot be read.
-pub fn read_segment_bytes(path: &Path) -> Result<Vec<u8>> {
-    std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read segment {}: {e}", path.display())))
+    applog::segment_path(dir, SEGMENT_PREFIX, index)
 }
 
 /// Scans the bytes of segment `path` (the path only names it in errors),
@@ -276,10 +216,11 @@ pub fn read_segment_bytes(path: &Path) -> Result<Vec<u8>> {
 /// typing the torn tail (see the module docs). Every record's checksum is
 /// verified over its stored bytes and every payload is checked against
 /// the JSON grammar, so the records, `consumed` and the torn-tail error
-/// are what [`codec::scan_records`] followed by a
+/// are what [`intune_core::codec::scan_records`] followed by a
 /// `serde_json::from_value::<JournalRecord>` of each record gives.
-pub fn scan_segment<'a>(path: &Path, bytes: &'a [u8]) -> SegmentScan<LazyRecord<'a>> {
-    let scan = codec::scan_records_with(bytes, JOURNAL_SCHEMA, JOURNAL_VERSION, |text| {
+pub fn scan_segment<'a>(path: &Path, bytes: &'a [u8]) -> RecordScan<LazyRecord<'a>> {
+    let source = format_args!("segment {}", path.display());
+    applog::scan_typed(bytes, JOURNAL_SCHEMA, JOURNAL_VERSION, &source, |text| {
         let (value, payload) = match text {
             Cow::Borrowed(text) => {
                 let (value, raw) = raw_payload(text)?;
@@ -290,36 +231,13 @@ pub fn scan_segment<'a>(path: &Path, bytes: &'a [u8]) -> SegmentScan<LazyRecord<
                 (value, raw.map(|raw| Cow::Owned(raw.to_owned())))
             }
         };
-        // A record that is not a `JournalRecord` is not a frame error:
-        // the walk goes on, and the first such record ends the scan below.
         Ok(
             serde_json::from_value::<JournalRecord>(&value).map(|record| LazyRecord {
                 record,
                 payload: payload.filter(|text| text != "null"),
             }),
         )
-    });
-    let mut records = Vec::with_capacity(scan.records.len());
-    let mut torn = scan.torn;
-    for (i, record) in scan.records.into_iter().enumerate() {
-        match record {
-            Ok(record) => records.push(record),
-            Err(e) => {
-                // A checksum-valid record with an alien shape: everything
-                // from here on is untrusted, exactly like a torn tail.
-                torn = Some(Error::artifact(format!(
-                    "segment {} record {i} has an unexpected shape: {e}",
-                    path.display()
-                )));
-                break;
-            }
-        }
-    }
-    SegmentScan {
-        records,
-        consumed: scan.consumed,
-        torn,
-    }
+    })
 }
 
 /// A journal record's JSON with its `payload` field left as text.
@@ -329,225 +247,13 @@ fn raw_payload(text: &str) -> Result<(Value, Option<&str>)> {
 
 /// Reads one segment: [`scan_segment`] plus a parse of every payload.
 /// IO failure is the only hard error — truncation and corruption are
-/// reported in [`SegmentScan::torn`].
+/// reported in [`RecordScan::torn`].
 ///
 /// # Errors
 /// Returns [`Error::Artifact`] when the file cannot be read at all.
-pub fn read_segment(path: &Path) -> Result<SegmentScan> {
-    let bytes = read_segment_bytes(path)?;
-    let scan = scan_segment(path, &bytes);
-    Ok(SegmentScan {
-        records: scan
-            .records
-            .into_iter()
-            .map(LazyRecord::into_record)
-            .collect(),
-        consumed: scan.consumed,
-        torn: scan.torn,
-    })
-}
-
-/// The append side of the journal. Not thread-safe by itself — the
-/// serving integration wraps it in a [`JournalSink`].
-///
-/// Appends are **staged**: [`JournalWriter::stage`] encodes records into
-/// an in-memory buffer and [`JournalWriter::flush`] writes the buffer in
-/// one syscall — so a served batch of B selections costs one write, not
-/// B. [`JournalWriter::append`] is the stage+flush convenience for
-/// single records.
-#[derive(Debug)]
-pub struct JournalWriter {
-    dir: PathBuf,
-    opts: JournalOptions,
-    file: File,
-    segment: u64,
-    records_in_segment: usize,
-    next_seq: u64,
-    /// Encoded-but-unwritten frames (cleared by [`JournalWriter::flush`]).
-    pending: Vec<u8>,
-    /// Records inside `pending`.
-    pending_records: u64,
-    /// Records durably written since open — the ground truth the sink's
-    /// `appended` counter is derived from, exact even when an
-    /// intra-batch rotation flush fails.
-    durable: u64,
-}
-
-impl JournalWriter {
-    /// Opens (or resumes) the journal in `dir`, creating the directory if
-    /// needed. Resuming scans existing segments for the next sequence
-    /// number; a segment with a torn tail is sealed as-is (appending
-    /// after garbage would bury every later record) and writing continues
-    /// in a fresh segment.
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on IO failure.
-    pub fn open(dir: &Path, opts: JournalOptions) -> Result<Self> {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            Error::artifact(format!("cannot create journal dir {}: {e}", dir.display()))
-        })?;
-        let segments = list_segments(dir)?;
-        // One backwards pass serves both resume questions: the newest
-        // segment's scan decides whether it can be appended to, and the
-        // newest segment holding any complete record fixes the next
-        // sequence number. Neither needs a payload parsed.
-        let mut next_seq = 0u64;
-        let mut active: Option<(u64, usize, bool)> = None;
-        for (i, path) in segments.iter().enumerate().rev() {
-            let bytes = read_segment_bytes(path)?;
-            let scan = scan_segment(path, &bytes);
-            if i == segments.len() - 1 {
-                let index = segment_index(path).expect("listed segments parse");
-                let reusable =
-                    scan.torn.is_none() && scan.records.len() < opts.segment_max_records.max(1);
-                active = Some(if reusable {
-                    (index, scan.records.len(), true)
-                } else {
-                    (index + 1, 0, false)
-                });
-            }
-            if let Some(last) = scan.records.last() {
-                next_seq = last.record.seq + 1;
-                break;
-            }
-        }
-        let (segment, records_in_segment, reuse) = active.unwrap_or((0, 0, false));
-        let path = segment_path(dir, segment);
-        let file = if reuse {
-            OpenOptions::new().append(true).open(&path)
-        } else {
-            File::create(&path)
-        }
-        .map_err(|e| Error::artifact(format!("cannot open segment {}: {e}", path.display())))?;
-        Ok(JournalWriter {
-            dir: dir.to_path_buf(),
-            opts,
-            file,
-            segment,
-            records_in_segment,
-            next_seq,
-            pending: Vec::new(),
-            pending_records: 0,
-            durable: 0,
-        })
-    }
-
-    /// The sequence number the next append will be stamped with.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Index of the segment currently being appended to.
-    pub fn active_segment(&self) -> u64 {
-        self.segment
-    }
-
-    /// Encodes one record into the pending buffer (its `seq` field is
-    /// overwritten with the journal's next sequence number, which is
-    /// returned), rotating to a fresh segment — flushing first — when the
-    /// active one is full. Nothing reaches disk until
-    /// [`JournalWriter::flush`]. The payload is printed once.
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on an unencodable (oversized) record
-    /// or a rotation failure; the sequence number is not consumed on
-    /// failure.
-    pub fn stage(&mut self, record: JournalRecord) -> Result<u64> {
-        let payload = record
-            .payload
-            .as_ref()
-            .map(|v| serde_json::to_string(v).expect("value printing is infallible"));
-        self.stage_parts(&RecordParts {
-            revision: record.revision,
-            landmark: record.landmark,
-            out_of_distribution: record.out_of_distribution,
-            fell_back: record.fell_back,
-            features: &record.features,
-            payload: payload.as_deref(),
-            trace_id: record.trace_id,
-        })
-    }
-
-    /// [`JournalWriter::stage`] for a record's parts, its payload printed.
-    fn stage_parts(&mut self, record: &RecordParts) -> Result<u64> {
-        if self.records_in_segment >= self.opts.segment_max_records.max(1) {
-            self.flush()?;
-            // Seal the full segment durably before rotating away from it:
-            // compaction consumes sealed segments on the assumption that
-            // their contents survive a crash, and this is the last moment
-            // this writer holds the file.
-            self.file
-                .sync_data()
-                .map_err(|e| Error::artifact(format!("cannot sync sealed segment: {e}")))?;
-            self.segment += 1;
-            let path = segment_path(&self.dir, self.segment);
-            self.file = File::create(&path).map_err(|e| {
-                Error::artifact(format!("cannot rotate to segment {}: {e}", path.display()))
-            })?;
-            self.records_in_segment = 0;
-        }
-        let seq = self.next_seq;
-        codec::append_record(&mut self.pending, JOURNAL_SCHEMA, JOURNAL_VERSION, |out| {
-            record.print(seq, out)
-        })?;
-        self.pending_records += 1;
-        self.records_in_segment += 1;
-        self.next_seq += 1;
-        Ok(seq)
-    }
-
-    /// Writes every pending frame in one syscall. On failure the pending
-    /// records are lost (their sequence numbers stay consumed — gaps are
-    /// legal, resumption only needs the maximum).
-    ///
-    /// ## Durability
-    ///
-    /// By default a flushed record has reached the kernel, not the
-    /// platter: it survives a process crash but not a power cut. Sealed
-    /// (rotated-away) segments are always `fdatasync`ed; the active
-    /// segment is only synced when
-    /// [`JournalOptions::sync_every_flush`] is set.
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on IO failure.
-    pub fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let outcome = self
-            .file
-            .write_all(&self.pending)
-            .and_then(|()| self.file.flush())
-            .and_then(|()| {
-                if self.opts.sync_every_flush {
-                    self.file.sync_data()
-                } else {
-                    Ok(())
-                }
-            })
-            .map_err(|e| Error::artifact(format!("cannot append journal records: {e}")));
-        if outcome.is_ok() {
-            self.durable += self.pending_records;
-        }
-        self.pending.clear();
-        self.pending_records = 0;
-        outcome
-    }
-
-    /// Records durably written since this writer opened.
-    pub fn durable(&self) -> u64 {
-        self.durable
-    }
-
-    /// Stages and flushes one record — see [`JournalWriter::stage`].
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on encoding or IO failure.
-    pub fn append(&mut self, record: JournalRecord) -> Result<u64> {
-        let seq = self.stage(record)?;
-        self.flush()?;
-        Ok(seq)
-    }
+pub fn read_segment(path: &Path) -> Result<RecordScan<JournalRecord>> {
+    let bytes = applog::read_file(path)?;
+    Ok(scan_segment(path, &bytes).map(LazyRecord::into_record))
 }
 
 /// The journal as a [`TraceSink`]: the bridge between the serving runtime
@@ -556,37 +262,7 @@ impl JournalWriter {
 /// sink that cannot record — oversized payload, disk failure — **never
 /// fails the serving path**: it counts the dropped records and keeps the
 /// last error for the operator.
-#[derive(Debug)]
-pub struct JournalSink {
-    writer: Mutex<JournalWriter>,
-    appended: AtomicU64,
-    dropped: AtomicU64,
-    last_error: Mutex<Option<Error>>,
-}
-
-impl JournalSink {
-    /// Opens (or resumes) the journal in `dir` — see
-    /// [`JournalWriter::open`].
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on IO failure.
-    pub fn open(dir: &Path, opts: JournalOptions) -> Result<Self> {
-        Ok(JournalSink {
-            writer: Mutex::new(JournalWriter::open(dir, opts)?),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            last_error: Mutex::new(None),
-        })
-    }
-
-    /// The most recent append failure, if any.
-    pub fn last_error(&self) -> Option<Error> {
-        self.last_error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-}
+pub type JournalSink = SegmentSink<JournalFormat>;
 
 impl TraceSink for JournalSink {
     fn record_batch_printed(
@@ -597,69 +273,42 @@ impl TraceSink for JournalSink {
         selections: &[Selection],
         trace_id: Option<u64>,
     ) {
-        // Recover from poisoning: a panic on one serving thread must not
-        // wedge journaling (and with it every later traced batch) behind
-        // a `PoisonError`. The writer's counters stay consistent across
-        // a panic — `durable` only advances on successful flushes.
-        let mut writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let durable_before = writer.durable();
-        let mut error: Option<Error> = None;
-        for (i, (fv, selection)) in features.iter().zip(selections).enumerate() {
-            let record = RecordParts {
-                revision,
-                landmark: selection.landmark as u64,
-                out_of_distribution: selection.out_of_distribution,
-                fell_back: selection.fell_back,
-                features: fv,
-                payload: payloads.get(i).copied(),
-                trace_id,
-            };
-            if let Err(e) = writer.stage_parts(&record) {
-                // An unrecordable record (e.g. an oversized payload)
-                // or a failed rotation costs what it costs, never the
-                // batch — and never a panic that would poison this
-                // mutex. (A rotation failure inside `stage_parts` may
-                // also have lost earlier staged records; the durable
-                // counter below accounts for those exactly.)
-                error = Some(e);
+        self.append(selections.len() as u64, |writer, ()| {
+            let mut error = None;
+            for (i, (fv, selection)) in features.iter().zip(selections).enumerate() {
+                let record = RecordParts {
+                    revision,
+                    landmark: selection.landmark as u64,
+                    out_of_distribution: selection.out_of_distribution,
+                    fell_back: selection.fell_back,
+                    features: fv,
+                    payload: payloads.get(i).copied(),
+                    trace_id,
+                };
+                // An unrecordable record (e.g. an oversized payload) or a
+                // failed rotation costs what it costs, never the batch.
+                if let Err(e) = writer.stage_with(|seq, out| record.print(seq, out)) {
+                    error = Some(e);
+                }
             }
-        }
-        if let Err(e) = writer.flush() {
-            error = Some(e);
-        }
-        // `durable` is ground truth: staged records can be lost by a
-        // failed intra-batch rotation flush as well as the final flush,
-        // so derive both counters from what actually reached disk.
-        let landed = writer.durable() - durable_before;
-        drop(writer);
-        self.appended.fetch_add(landed, Ordering::AcqRel);
-        self.dropped
-            .fetch_add(selections.len() as u64 - landed, Ordering::AcqRel);
-        if let Some(e) = error {
-            *self
-                .last_error
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-        }
+            error
+        });
     }
 
     fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Acquire)
+        SegmentSink::appended(self)
     }
 
     /// Records dropped because the journal could not be written.
     fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Acquire)
+        SegmentSink::dropped(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intune_core::FeatureDef;
+    use intune_core::{codec, FeatureDef};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -697,105 +346,6 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         dir
-    }
-
-    #[test]
-    fn append_rotate_and_read_back_across_segments() {
-        let dir = tmp("rotate");
-        let mut w = JournalWriter::open(
-            &dir,
-            JournalOptions {
-                segment_max_records: 4,
-                ..JournalOptions::default()
-            },
-        )
-        .unwrap();
-        for i in 0..10 {
-            assert_eq!(w.append(record(999, i as f64)).unwrap(), i);
-        }
-        assert_eq!(w.active_segment(), 2, "10 records at 4/segment");
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 3);
-        let mut all = Vec::new();
-        for s in &segments {
-            let scan = read_segment(s).unwrap();
-            assert!(scan.torn.is_none());
-            all.extend(scan.records);
-        }
-        assert_eq!(all.len(), 10);
-        for (i, r) in all.iter().enumerate() {
-            assert_eq!(r.seq, i as u64, "writer stamps sequence numbers");
-            assert_eq!(r.revision, 3);
-        }
-        // Payload presence alternates by construction.
-        assert!(all[0].payload.is_some());
-        assert!(all[1].payload.is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reopen_resumes_sequence_and_appends_to_the_active_segment() {
-        let dir = tmp("resume");
-        {
-            let mut w = JournalWriter::open(
-                &dir,
-                JournalOptions {
-                    segment_max_records: 4,
-                    ..JournalOptions::default()
-                },
-            )
-            .unwrap();
-            for i in 0..6 {
-                w.append(record(0, i as f64)).unwrap();
-            }
-        }
-        let mut w = JournalWriter::open(
-            &dir,
-            JournalOptions {
-                segment_max_records: 4,
-                ..JournalOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(w.next_seq(), 6, "sequence resumes after the last record");
-        assert_eq!(w.active_segment(), 1, "half-full segment is reused");
-        w.append(record(0, 9.0)).unwrap();
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 2, "no fresh segment was needed");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_tail_is_sealed_and_writing_continues_in_a_fresh_segment() {
-        let dir = tmp("torn");
-        {
-            let mut w = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
-            for i in 0..3 {
-                w.append(record(0, i as f64)).unwrap();
-            }
-        }
-        // Crash simulation: cut the active segment mid-record.
-        let path = segment_path(&dir, 0);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-
-        let scan = read_segment(&path).unwrap();
-        assert_eq!(scan.records.len(), 2, "complete records survive");
-        let torn = scan.torn.expect("torn tail typed");
-        assert!(matches!(torn, Error::Artifact { .. }), "{torn:?}");
-
-        let mut w = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
-        assert_eq!(w.next_seq(), 2, "the torn record's seq is reissued");
-        assert_eq!(w.active_segment(), 1, "damaged segment is sealed");
-        w.append(record(0, 8.0)).unwrap();
-        let scan = read_segment(&segment_path(&dir, 1)).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].seq, 2);
-        // The sealed segment still reads back its complete prefix.
-        let sealed = read_segment(&path).unwrap();
-        assert_eq!(sealed.records.len(), 2);
-        assert!(sealed.torn.is_some());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -871,51 +421,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn sync_every_flush_writes_the_same_bytes() {
-        // The opt-in fsync changes when bytes become durable, never what
-        // is written: both modes must produce byte-identical segments.
-        let write_all = |tag: &str, sync: bool| {
-            let dir = tmp(tag);
-            let mut w = JournalWriter::open(
-                &dir,
-                JournalOptions {
-                    segment_max_records: 3,
-                    sync_every_flush: sync,
-                },
-            )
-            .unwrap();
-            for i in 0..7 {
-                w.append(record(0, i as f64)).unwrap();
-            }
-            assert_eq!(w.durable(), 7);
-            let bytes: Vec<Vec<u8>> = list_segments(&dir)
-                .unwrap()
-                .iter()
-                .map(|s| std::fs::read(s).unwrap())
-                .collect();
-            std::fs::remove_dir_all(&dir).ok();
-            bytes
-        };
-        assert_eq!(write_all("sync-on", true), write_all("sync-off", false));
-    }
-
-    #[test]
-    fn foreign_files_in_the_journal_dir_are_ignored() {
-        let dir = tmp("foreign");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("README.txt"), "not a segment").unwrap();
-        std::fs::write(dir.join("journal-xx.seg"), "bad index").unwrap();
-        let mut w = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
-        w.append(record(0, 1.0)).unwrap();
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// [`read_segment`] as the full parse spells it, the oracle of the
     /// lazy scan: every record through [`codec::scan_records`], then
     /// `from_value`.
-    fn full_parse_scan(path: &Path, bytes: &[u8]) -> SegmentScan {
+    fn full_parse_scan(path: &Path, bytes: &[u8]) -> RecordScan<JournalRecord> {
         let scan = codec::scan_records(bytes, JOURNAL_SCHEMA, JOURNAL_VERSION);
         let mut records = Vec::new();
         let mut torn = scan.torn;
@@ -931,7 +440,7 @@ mod tests {
                 }
             }
         }
-        SegmentScan {
+        RecordScan {
             records,
             consumed: scan.consumed,
             torn,
@@ -1044,7 +553,7 @@ mod tests {
             for r in &records {
                 writer.stage(r.clone()).unwrap();
             }
-            prop_assert_eq!(&writer.pending, &oracle);
+            prop_assert_eq!(writer.pending(), &oracle[..]);
             drop(writer);
 
             let dir = tmp("encoder-sink");

@@ -637,7 +637,7 @@ mod tests {
 
         let scan = read_events(&path).unwrap();
         assert!(scan.torn.is_none());
-        let kinds: Vec<&EventKind> = scan.events.iter().map(|e| &e.kind).collect();
+        let kinds: Vec<&EventKind> = scan.records.iter().map(|e| &e.kind).collect();
         assert_eq!(
             kinds.len(),
             2,
@@ -655,7 +655,7 @@ mod tests {
             other => panic!("expected DriftTripped, got {other:?}"),
         }
         assert!(matches!(kinds[1], EventKind::FallbackCleared { .. }));
-        assert_eq!(scan.events[0].tenant, svc.artifact().benchmark);
+        assert_eq!(scan.records[0].tenant, svc.artifact().benchmark);
         let _ = std::fs::remove_file(&path);
     }
 
