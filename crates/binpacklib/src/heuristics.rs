@@ -20,6 +20,12 @@ pub const CAPACITY: f64 = 1.0;
 /// Numeric slack when testing whether an item fits.
 const EPS: f64 = 1e-9;
 
+/// Whether `x` is an item [`Heuristic::pack`] accepts: in `(0, CAPACITY]`
+/// up to the fit slack. NaN is not.
+pub fn item_fits(x: f64) -> bool {
+    x > 0.0 && x <= CAPACITY + EPS
+}
+
 /// The result of packing: per-bin loads, item→bin assignment, and cost.
 #[derive(Debug, Clone)]
 pub struct Packing {
@@ -143,10 +149,7 @@ impl Heuristic {
     /// Panics if any item is non-positive or exceeds the capacity.
     pub fn pack(self, items: &[f64]) -> Packing {
         for (i, &x) in items.iter().enumerate() {
-            assert!(
-                x > 0.0 && x <= CAPACITY + EPS,
-                "item {i} = {x} outside (0, {CAPACITY}]"
-            );
+            assert!(item_fits(x), "item {i} = {x} outside (0, {CAPACITY}]");
         }
         let mut cost = 0.0;
         // Order of placement: original or descending.

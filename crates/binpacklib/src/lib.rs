@@ -122,8 +122,14 @@ impl Benchmark for BinPacking {
         Some(serde::Serialize::to_value(input))
     }
 
+    // An item `pack` would refuse is refused here, so such a payload is
+    // skipped rather than failing the measurement of a retrain.
     fn decode_input(&self, payload: &serde_json::Value) -> Option<Self::Input> {
-        serde_json::from_value(payload).ok()
+        let items: Vec<f64> = serde_json::from_value(payload).ok()?;
+        items
+            .iter()
+            .all(|&x| heuristics::item_fits(x))
+            .then_some(items)
     }
 }
 
@@ -174,5 +180,31 @@ mod tests {
     #[test]
     fn accuracy_threshold_is_papers() {
         assert_eq!(BinPacking::new(64).accuracy().unwrap().threshold, 0.95);
+    }
+
+    #[test]
+    fn inputs_round_trip_through_journal_codec() {
+        let b = BinPacking::new(64);
+        let items = vec![1.0, 0.5, f64::MIN_POSITIVE, 0.1 + 0.2];
+        let text = serde_json::to_string(&b.encode_input(&items).unwrap()).unwrap();
+        let decoded = b.decode_input(&serde_json::from_str(&text).unwrap());
+        assert_eq!(decoded, Some(items));
+    }
+
+    #[test]
+    fn decode_rejects_malformed_documents() {
+        let b = BinPacking::new(64);
+        for text in [
+            "null",
+            "{}",
+            r#"[0.5, "x"]"#,
+            // Items `pack` refuses: above capacity, negative, zero.
+            "[2.0, 0.5]",
+            "[-1.0, 0.5]",
+            "[0.0, 0.5]",
+        ] {
+            let payload: serde_json::Value = serde_json::from_str(text).unwrap();
+            assert!(b.decode_input(&payload).is_none(), "accepted {text}");
+        }
     }
 }

@@ -162,6 +162,10 @@ impl Benchmark for Clustering {
                 Some([f64::from_value(&xy[0]).ok()?, f64::from_value(&xy[1]).ok()?])
             })
             .collect::<Option<Vec<algorithm::Point>>>()?;
+        // `kmeans_run` refuses an input without points.
+        if points.is_empty() {
+            return None;
+        }
         Some(ClusterInput {
             points,
             canonical_dist: f64::from_value(payload.get("canonical_dist")?).ok()?,
@@ -288,6 +292,8 @@ mod tests {
             r#"{"points": [[1.0, 2.0, 3.0]], "canonical_dist": 1.0, "canonical_k": 3}"#,
             r#"{"points": [[1.0, 2.0]], "canonical_k": 3}"#,
             r#"{"points": [[1.0, "x"]], "canonical_dist": 1.0, "canonical_k": 3}"#,
+            // No points: `kmeans_run` refuses them.
+            r#"{"points":[],"canonical_dist":1.0,"canonical_k":2}"#,
         ] {
             let payload: serde_json::Value = serde_json::from_str(text).unwrap();
             assert!(b.decode_input(&payload).is_none(), "accepted {text}");

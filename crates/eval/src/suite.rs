@@ -94,9 +94,12 @@ pub struct SuiteConfig {
     pub pack_n: (usize, usize),
     /// SVD column-count range.
     pub svd_n: (usize, usize),
-    /// Poisson grid sizes (must be 2^k − 1).
+    /// Poisson grid sizes. Each must be odd at every level of its
+    /// multigrid hierarchy above the coarsest (`n`, `(n − 1)/2`, … down to
+    /// the first level below 3), so that coarse points coincide with fine
+    /// ones: `2^k − 1` qualifies, and so does 11 (11 → 5 → 2).
     pub pde2_sizes: Vec<usize>,
-    /// Helmholtz grid sizes (must be 2^k − 1).
+    /// Helmholtz grid sizes, under the same rule as `pde2_sizes`.
     pub pde3_sizes: Vec<usize>,
     /// Base seed.
     pub seed: u64,
@@ -540,6 +543,34 @@ mod tests {
             pde2_sizes: vec![7],
             pde3_sizes: vec![3],
             ..SuiteConfig::ci()
+        }
+    }
+
+    #[test]
+    fn pde_sizes_are_odd_above_the_coarsest_level() {
+        use intune_pde::dim2::Grid2d;
+        use intune_pde::dim3::Grid3d;
+        use intune_pde::level::Level;
+
+        /// The grid size of every level that has a coarser one.
+        fn refined<L: Level>(finest: L, n: impl Fn(&L) -> usize) -> Vec<usize> {
+            let mut sizes = Vec::new();
+            let mut level = finest;
+            while let Some(coarse) = level.coarser() {
+                sizes.push(n(&level));
+                level = coarse;
+            }
+            sizes
+        }
+        for cfg in [SuiteConfig::ci(), SuiteConfig::paper_scale()] {
+            for &n in &cfg.pde2_sizes {
+                let sizes = refined(Grid2d::poisson(n), Grid2d::n);
+                assert!(sizes.iter().all(|s| s % 2 == 1), "2-D {n}: {sizes:?}");
+            }
+            for &n in &cfg.pde3_sizes {
+                let sizes = refined(Grid3d::constant(n, 0.0), Grid3d::n);
+                assert!(sizes.iter().all(|s| s % 2 == 1), "3-D {n}: {sizes:?}");
+            }
         }
     }
 

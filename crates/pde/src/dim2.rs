@@ -2,7 +2,8 @@
 //! coefficient on the unit square, homogeneous Dirichlet boundaries,
 //! interior grid of `n × n` points, `h = 1/(n+1)`.
 
-use crate::level::{Level, Smoother};
+use crate::level::{spd_coefficients, Level, Smoother};
+use crate::stencil::{self, Row, Rows};
 use intune_linalg::Matrix;
 
 /// One 2-D grid level of `(-∆ + c)·u = f`.
@@ -35,7 +36,7 @@ impl Grid2d {
     pub fn screened(n: usize, coeff: Vec<f64>) -> Self {
         assert_eq!(coeff.len(), n * n, "coefficient field shape");
         assert!(
-            coeff.iter().all(|c| *c >= 0.0),
+            spd_coefficients(&coeff),
             "coefficients must be >= 0 for SPD"
         );
         Grid2d {
@@ -56,39 +57,58 @@ impl Grid2d {
     }
 
     #[inline]
-    fn at(&self, u: &[f64], i: i64, j: i64) -> f64 {
-        let n = self.n as i64;
-        if i < 0 || j < 0 || i >= n || j >= n {
-            0.0 // Dirichlet boundary
-        } else {
-            u[(i * n + j) as usize]
-        }
-    }
-
-    #[inline]
     fn c(&self, idx: usize) -> f64 {
         self.coeff.as_ref().map_or(0.0, |c| c[idx])
     }
+}
 
-    fn gauss_seidel_pass(&self, omega: f64, u: &mut [f64], f: &[f64], parity: Option<usize>) {
+/// Full-weighting restriction weights of a coarse point's nine fine
+/// neighbours, in the order the sum adds them: the coincident point, its
+/// four edge neighbours (i−1, i+1, j−1, j+1), then its corners (i−1, j−1),
+/// (i−1, j+1), (i+1, j−1), (i+1, j+1).
+const RESTRICT: [f64; 9] = [
+    0.25, 0.125, 0.125, 0.125, 0.125, 0.0625, 0.0625, 0.0625, 0.0625,
+];
+
+/// Bilinear prolongation weights in the same order. The coincident point
+/// adds the correction itself, not multiplied by its weight 1.
+const PROLONG: [f64; 9] = [1.0, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25];
+
+/// Offsets of those nine fine points from `(2·ci, 2·cj)`, the corner of
+/// coarse point `(ci, cj)`'s neighbourhood, in a grid of `n` points per
+/// row. None needs a bounds test: the largest fine index a transfer
+/// touches is `2·nc ≤ n − 1`.
+fn transfer_offsets(n: usize) -> [usize; 9] {
+    [n + 1, 1, 2 * n + 1, n, n + 2, 0, 2, 2 * n, 2 * n + 2]
+}
+
+impl Rows<2> for Grid2d {
+    const CENTRE: f64 = 4.0;
+    const POINT_FLOPS: f64 = 8.0;
+
+    fn row_len(&self) -> usize {
+        self.n
+    }
+
+    fn h2(&self) -> f64 {
+        self.h * self.h
+    }
+
+    fn coeff(&self) -> Option<&[f64]> {
+        self.coeff.as_deref()
+    }
+
+    fn for_each_row(&self, mut visit: impl FnMut(&Row<2>)) {
         let n = self.n;
-        let h2 = self.h * self.h;
         for i in 0..n {
-            for j in 0..n {
-                if let Some(p) = parity {
-                    if (i + j) % 2 != p {
-                        continue;
-                    }
-                }
-                let idx = i * n + j;
-                let nb = self.at(u, i as i64 - 1, j as i64)
-                    + self.at(u, i as i64 + 1, j as i64)
-                    + self.at(u, i as i64, j as i64 - 1)
-                    + self.at(u, i as i64, j as i64 + 1);
-                let diag = 4.0 / h2 + self.c(idx);
-                let gs = (f[idx] + nb / h2) / diag;
-                u[idx] = (1.0 - omega) * u[idx] + omega * gs;
-            }
+            visit(&Row {
+                start: i * n,
+                nbrs: [
+                    (i > 0).then(|| (i - 1) * n),
+                    (i + 1 < n).then(|| (i + 1) * n),
+                ],
+                colour: i % 2,
+            });
         }
     }
 }
@@ -99,19 +119,7 @@ impl Level for Grid2d {
     }
 
     fn apply(&self, u: &[f64], out: &mut [f64]) -> f64 {
-        let n = self.n;
-        let h2 = self.h * self.h;
-        for i in 0..n {
-            for j in 0..n {
-                let idx = i * n + j;
-                let nb = self.at(u, i as i64 - 1, j as i64)
-                    + self.at(u, i as i64 + 1, j as i64)
-                    + self.at(u, i as i64, j as i64 - 1)
-                    + self.at(u, i as i64, j as i64 + 1);
-                out[idx] = (4.0 * u[idx] - nb) / h2 + self.c(idx) * u[idx];
-            }
-        }
-        8.0 * self.unknowns() as f64
+        stencil::apply(self, u, out)
     }
 
     fn smooth(
@@ -122,59 +130,20 @@ impl Level for Grid2d {
         f: &[f64],
         sweeps: usize,
     ) -> f64 {
-        let n2 = self.unknowns() as f64;
-        let mut flops = 0.0;
-        for _ in 0..sweeps {
-            match smoother {
-                Smoother::Jacobi => {
-                    let mut au = vec![0.0; u.len()];
-                    flops += self.apply(u, &mut au);
-                    let h2 = self.h * self.h;
-                    let w = if omega > 0.0 { omega.min(1.0) } else { 0.8 };
-                    for idx in 0..u.len() {
-                        let diag = 4.0 / h2 + self.c(idx);
-                        u[idx] += w * (f[idx] - au[idx]) / diag;
-                    }
-                    flops += 4.0 * n2;
-                }
-                Smoother::GaussSeidel => {
-                    self.gauss_seidel_pass(1.0, u, f, None);
-                    flops += 8.0 * n2;
-                }
-                Smoother::Sor => {
-                    self.gauss_seidel_pass(omega.clamp(0.1, 1.95), u, f, None);
-                    flops += 10.0 * n2;
-                }
-                Smoother::RedBlack => {
-                    self.gauss_seidel_pass(1.0, u, f, Some(0));
-                    self.gauss_seidel_pass(1.0, u, f, Some(1));
-                    flops += 9.0 * n2;
-                }
-            }
-        }
-        flops
+        stencil::smooth(self, smoother, omega, u, f, sweeps)
     }
 
     fn restrict(&self, fine: &[f64]) -> (Vec<f64>, f64) {
         let n = self.n;
         let nc = (n - 1) / 2;
+        let off = transfer_offsets(n);
         let mut coarse = vec![0.0; nc * nc];
         for ci in 0..nc {
             for cj in 0..nc {
-                let fi = (2 * ci + 1) as i64;
-                let fj = (2 * cj + 1) as i64;
-                let mut acc = 0.25 * self.at(fine, fi, fj);
-                for (di, dj, w) in [
-                    (-1i64, 0i64, 0.125),
-                    (1, 0, 0.125),
-                    (0, -1, 0.125),
-                    (0, 1, 0.125),
-                    (-1, -1, 0.0625),
-                    (-1, 1, 0.0625),
-                    (1, -1, 0.0625),
-                    (1, 1, 0.0625),
-                ] {
-                    acc += w * self.at(fine, fi + di, fj + dj);
+                let base = 2 * ci * n + 2 * cj;
+                let mut acc = RESTRICT[0] * fine[base + off[0]];
+                for t in 1..9 {
+                    acc += RESTRICT[t] * fine[base + off[t]];
                 }
                 coarse[ci * nc + cj] = acc;
             }
@@ -185,25 +154,15 @@ impl Level for Grid2d {
     fn prolong_add(&self, coarse: &[f64], fine_u: &mut [f64]) -> f64 {
         let n = self.n;
         let nc = (n - 1) / 2;
-        let mut add = |i: i64, j: i64, v: f64| {
-            if i >= 0 && j >= 0 && (i as usize) < n && (j as usize) < n {
-                fine_u[i as usize * n + j as usize] += v;
-            }
-        };
+        let off = transfer_offsets(n);
         for ci in 0..nc {
             for cj in 0..nc {
                 let e = coarse[ci * nc + cj];
-                let fi = (2 * ci + 1) as i64;
-                let fj = (2 * cj + 1) as i64;
-                add(fi, fj, e);
-                add(fi - 1, fj, 0.5 * e);
-                add(fi + 1, fj, 0.5 * e);
-                add(fi, fj - 1, 0.5 * e);
-                add(fi, fj + 1, 0.5 * e);
-                add(fi - 1, fj - 1, 0.25 * e);
-                add(fi - 1, fj + 1, 0.25 * e);
-                add(fi + 1, fj - 1, 0.25 * e);
-                add(fi + 1, fj + 1, 0.25 * e);
+                let base = 2 * ci * n + 2 * cj;
+                fine_u[base + off[0]] += e;
+                for t in 1..9 {
+                    fine_u[base + off[t]] += PROLONG[t] * e;
+                }
             }
         }
         9.0 * (nc * nc) as f64

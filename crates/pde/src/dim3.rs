@@ -3,7 +3,8 @@
 //! variable-coefficient Helmholtz equation), homogeneous Dirichlet
 //! boundaries, interior grid of `n × n × n` points, `h = 1/(n+1)`.
 
-use crate::level::{Level, Smoother};
+use crate::level::{spd_coefficients, Level, Smoother};
+use crate::stencil::{self, Row, Rows};
 use intune_linalg::Matrix;
 
 /// One 3-D grid level of `(-∆ + c(x))·u = f`.
@@ -23,7 +24,7 @@ impl Grid3d {
         assert!(n > 0, "grid needs at least one interior point");
         assert_eq!(coeff.len(), n * n * n, "coefficient field shape");
         assert!(
-            coeff.iter().all(|c| *c >= 0.0),
+            spd_coefficients(&coeff),
             "coefficients must be >= 0 for SPD"
         );
         Grid3d {
@@ -47,44 +48,66 @@ impl Grid3d {
     fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         (i * self.n + j) * self.n + k
     }
+}
 
-    #[inline]
-    fn at(&self, u: &[f64], i: i64, j: i64, k: i64) -> f64 {
-        let n = self.n as i64;
-        if i < 0 || j < 0 || k < 0 || i >= n || j >= n || k >= n {
-            0.0
-        } else {
-            u[((i * n + j) * n + k) as usize]
-        }
+/// A transfer weight table over a coarse point's 27 fine neighbours
+/// (`di`, `dj`, `dk` in −1..=1, `dk` fastest), by Manhattan distance.
+const fn by_distance(w: [f64; 4]) -> [f64; 27] {
+    let mut table = [0.0; 27];
+    let mut t = 0;
+    while t < 27 {
+        let d = (t / 9 != 1) as usize + (t / 3 % 3 != 1) as usize + (t % 3 != 1) as usize;
+        table[t] = w[d];
+        t += 1;
+    }
+    table
+}
+
+/// Full-weighting restriction weights.
+const RESTRICT: [f64; 27] = by_distance([8.0 / 64.0, 4.0 / 64.0, 2.0 / 64.0, 1.0 / 64.0]);
+
+/// Trilinear prolongation weights.
+const PROLONG: [f64; 27] = by_distance([1.0, 0.5, 0.25, 0.125]);
+
+/// Offsets of the 27 fine neighbours from `(2·ci, 2·cj, 2·ck)`, the
+/// corner of coarse point `(ci, cj, ck)`'s neighbourhood, in a grid of
+/// `n` points per axis. None needs a bounds test: the largest fine index
+/// a transfer touches on any axis is `2·nc ≤ n − 1`.
+fn transfer_offsets(n: usize) -> [usize; 27] {
+    std::array::from_fn(|t| (t / 9 * n + t / 3 % 3) * n + t % 3)
+}
+
+impl Rows<4> for Grid3d {
+    const CENTRE: f64 = 6.0;
+    const POINT_FLOPS: f64 = 10.0;
+
+    fn row_len(&self) -> usize {
+        self.n
     }
 
-    fn neighbors_sum(&self, u: &[f64], i: usize, j: usize, k: usize) -> f64 {
-        let (i, j, k) = (i as i64, j as i64, k as i64);
-        self.at(u, i - 1, j, k)
-            + self.at(u, i + 1, j, k)
-            + self.at(u, i, j - 1, k)
-            + self.at(u, i, j + 1, k)
-            + self.at(u, i, j, k - 1)
-            + self.at(u, i, j, k + 1)
+    fn h2(&self) -> f64 {
+        self.h * self.h
     }
 
-    fn gauss_seidel_pass(&self, omega: f64, u: &mut [f64], f: &[f64], parity: Option<usize>) {
+    fn coeff(&self) -> Option<&[f64]> {
+        Some(&self.coeff)
+    }
+
+    fn for_each_row(&self, mut visit: impl FnMut(&Row<4>)) {
         let n = self.n;
-        let h2 = self.h * self.h;
         for i in 0..n {
             for j in 0..n {
-                for k in 0..n {
-                    if let Some(p) = parity {
-                        if (i + j + k) % 2 != p {
-                            continue;
-                        }
-                    }
-                    let idx = self.idx(i, j, k);
-                    let nb = self.neighbors_sum(u, i, j, k);
-                    let diag = 6.0 / h2 + self.coeff[idx];
-                    let gs = (f[idx] + nb / h2) / diag;
-                    u[idx] = (1.0 - omega) * u[idx] + omega * gs;
-                }
+                let start = self.idx(i, j, 0);
+                visit(&Row {
+                    start,
+                    nbrs: [
+                        (i > 0).then(|| start - n * n),
+                        (i + 1 < n).then(|| start + n * n),
+                        (j > 0).then(|| start - n),
+                        (j + 1 < n).then(|| start + n),
+                    ],
+                    colour: (i + j) % 2,
+                });
             }
         }
     }
@@ -96,18 +119,7 @@ impl Level for Grid3d {
     }
 
     fn apply(&self, u: &[f64], out: &mut [f64]) -> f64 {
-        let n = self.n;
-        let h2 = self.h * self.h;
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    let idx = self.idx(i, j, k);
-                    let nb = self.neighbors_sum(u, i, j, k);
-                    out[idx] = (6.0 * u[idx] - nb) / h2 + self.coeff[idx] * u[idx];
-                }
-            }
-        }
-        10.0 * self.unknowns() as f64
+        stencil::apply(self, u, out)
     }
 
     fn smooth(
@@ -118,37 +130,7 @@ impl Level for Grid3d {
         f: &[f64],
         sweeps: usize,
     ) -> f64 {
-        let un = self.unknowns() as f64;
-        let mut flops = 0.0;
-        for _ in 0..sweeps {
-            match smoother {
-                Smoother::Jacobi => {
-                    let mut au = vec![0.0; u.len()];
-                    flops += self.apply(u, &mut au);
-                    let h2 = self.h * self.h;
-                    let w = if omega > 0.0 { omega.min(1.0) } else { 0.8 };
-                    for idx in 0..u.len() {
-                        let diag = 6.0 / h2 + self.coeff[idx];
-                        u[idx] += w * (f[idx] - au[idx]) / diag;
-                    }
-                    flops += 4.0 * un;
-                }
-                Smoother::GaussSeidel => {
-                    self.gauss_seidel_pass(1.0, u, f, None);
-                    flops += 10.0 * un;
-                }
-                Smoother::Sor => {
-                    self.gauss_seidel_pass(omega.clamp(0.1, 1.95), u, f, None);
-                    flops += 12.0 * un;
-                }
-                Smoother::RedBlack => {
-                    self.gauss_seidel_pass(1.0, u, f, Some(0));
-                    self.gauss_seidel_pass(1.0, u, f, Some(1));
-                    flops += 11.0 * un;
-                }
-            }
-        }
-        flops
+        stencil::smooth(self, smoother, omega, u, f, sweeps)
     }
 
     fn restrict(&self, fine: &[f64]) -> (Vec<f64>, f64) {
@@ -157,25 +139,17 @@ impl Level for Grid3d {
         let mut coarse = vec![0.0; nc * nc * nc];
         for ci in 0..nc {
             for cj in 0..nc {
+                // The nine fine rows around coarse row (ci, cj), in the
+                // order of the table.
+                let rows: [&[f64]; 9] = std::array::from_fn(|q| {
+                    let start = self.idx(2 * ci + q / 3, 2 * cj + q % 3, 0);
+                    &fine[start..start + n]
+                });
                 for ck in 0..nc {
-                    let (fi, fj, fk) = (
-                        (2 * ci + 1) as i64,
-                        (2 * cj + 1) as i64,
-                        (2 * ck + 1) as i64,
-                    );
                     let mut acc = 0.0;
-                    for di in -1i64..=1 {
-                        for dj in -1i64..=1 {
-                            for dk in -1i64..=1 {
-                                let manhattan = di.abs() + dj.abs() + dk.abs();
-                                let w = match manhattan {
-                                    0 => 8.0,
-                                    1 => 4.0,
-                                    2 => 2.0,
-                                    _ => 1.0,
-                                } / 64.0;
-                                acc += w * self.at(fine, fi + di, fj + dj, fk + dk);
-                            }
+                    for (q, row) in rows.iter().enumerate() {
+                        for (d, x) in row[2 * ck..2 * ck + 3].iter().enumerate() {
+                            acc += RESTRICT[3 * q + d] * x;
                         }
                     }
                     coarse[(ci * nc + cj) * nc + ck] = acc;
@@ -188,39 +162,14 @@ impl Level for Grid3d {
     fn prolong_add(&self, coarse: &[f64], fine_u: &mut [f64]) -> f64 {
         let n = self.n;
         let nc = (n - 1) / 2;
-        let mut add = |i: i64, j: i64, k: i64, v: f64| {
-            if i >= 0
-                && j >= 0
-                && k >= 0
-                && (i as usize) < n
-                && (j as usize) < n
-                && (k as usize) < n
-            {
-                fine_u[((i as usize) * n + j as usize) * n + k as usize] += v;
-            }
-        };
+        let off = transfer_offsets(n);
         for ci in 0..nc {
             for cj in 0..nc {
                 for ck in 0..nc {
                     let e = coarse[(ci * nc + cj) * nc + ck];
-                    let (fi, fj, fk) = (
-                        (2 * ci + 1) as i64,
-                        (2 * cj + 1) as i64,
-                        (2 * ck + 1) as i64,
-                    );
-                    for di in -1i64..=1 {
-                        for dj in -1i64..=1 {
-                            for dk in -1i64..=1 {
-                                let manhattan = di.abs() + dj.abs() + dk.abs();
-                                let w = match manhattan {
-                                    0 => 1.0,
-                                    1 => 0.5,
-                                    2 => 0.25,
-                                    _ => 0.125,
-                                };
-                                add(fi + di, fj + dj, fk + dk, w * e);
-                            }
-                        }
+                    let base = self.idx(2 * ci, 2 * cj, 2 * ck);
+                    for t in 0..27 {
+                        fine_u[base + off[t]] += PROLONG[t] * e;
                     }
                 }
             }

@@ -213,10 +213,6 @@ impl PdeInputClass {
     }
 }
 
-/// Shared rhs-field feature extraction: *residual measure*, standard
-/// deviation, and zeros fraction, each at three sampling levels.
-///
-/// The residual measure deepens with its level, as the paper's costlier
 /// Encodes one scalar field for the journal codec (bit-exact: every
 /// value prints in shortest-round-trip decimal form).
 pub(crate) fn encode_field(field: &[f64]) -> serde_json::Value {
@@ -235,6 +231,10 @@ pub(crate) fn decode_field(value: &serde_json::Value) -> Option<Vec<f64>> {
         .collect()
 }
 
+/// Shared rhs-field feature extraction: *residual measure*, standard
+/// deviation, and zeros fraction, each at three sampling levels.
+///
+/// The residual measure deepens with its level, as the paper's costlier
 /// sampling levels do: level 0 is the plain RMS of the sampled right-hand
 /// side (`‖f − A·0‖` on a sample); levels 1 and 2 report how much of the
 /// field survives 1 or 3 cheap 1-D smoothing passes — smoothing annihilates
@@ -304,7 +304,9 @@ pub struct PdeCorpus2d {
 
 impl PdeCorpus2d {
     /// Builds `count` inputs cycling through classes and the given grid
-    /// sizes (each must be of the form 2^k − 1).
+    /// sizes. Each size must be odd at every level of its multigrid
+    /// hierarchy above the coarsest, so that coarse points coincide with
+    /// fine ones: `2^k − 1` qualifies, and so does 11 (11 → 5 → 2).
     pub fn synthetic(count: usize, sizes: &[usize], seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let classes = PdeInputClass::all();
@@ -333,7 +335,8 @@ pub struct PdeCorpus3d {
 }
 
 impl PdeCorpus3d {
-    /// Builds `count` inputs cycling through classes and grid sizes.
+    /// Builds `count` inputs cycling through classes and grid sizes, each
+    /// size under the rule of [`PdeCorpus2d::synthetic`].
     pub fn synthetic(count: usize, sizes: &[usize], seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let classes = PdeInputClass::all();

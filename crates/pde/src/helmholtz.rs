@@ -96,6 +96,10 @@ impl Benchmark for Helmholtz3d {
         if n == 0 || coeff.len() != cells || rhs.len() != cells || reference.len() != cells {
             return None;
         }
+        // `Grid3d::new` refuses a coefficient field it cannot keep SPD.
+        if !crate::level::spd_coefficients(&coeff) {
+            return None;
+        }
         Some(PdeInput3d {
             n,
             coeff,
@@ -232,6 +236,8 @@ mod tests {
             r#"{"n": 1, "coeff": [1.0], "rhs": [1.0]}"#,
             // Non-numeric entry.
             r#"{"n": 1, "coeff": [1.0], "rhs": [1.0], "reference": [[]]}"#,
+            // A negative coefficient: `Grid3d::new` refuses it.
+            r#"{"n":1,"coeff":[-1.0],"rhs":[1.0],"reference":[0.0]}"#,
         ] {
             let payload: serde_json::Value = serde_json::from_str(text).unwrap();
             assert!(b.decode_input(&payload).is_none(), "accepted {text}");

@@ -108,6 +108,12 @@ pub trait Level: Sized {
     fn dense(&self) -> Matrix;
 }
 
+/// Whether every zeroth-order coefficient is `>= 0`, which keeps a grid
+/// operator SPD (NaN is not).
+pub(crate) fn spd_coefficients(coeff: &[f64]) -> bool {
+    coeff.iter().all(|c| *c >= 0.0)
+}
+
 /// `r = f − A·u`; returns `(r, flops)`.
 pub fn residual<L: Level>(level: &L, u: &[f64], f: &[f64]) -> (Vec<f64>, f64) {
     let mut au = vec![0.0; u.len()];

@@ -1058,6 +1058,43 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_the_benchmark_refuses_is_skipped_not_fatal() {
+        use intune_binpacklib::{BinPacking, PackCorpus};
+        let jdir = tmp("refused");
+        let b = BinPacking::new(64);
+        let base = PackCorpus::synthetic(12, 8, 32, 3).inputs;
+        let journaled = PackCorpus::synthetic(4, 8, 32, 4).inputs;
+        // An item above the bin capacity: `run` refuses it, so a decoder
+        // that accepted it would fail every cycle over this corpus.
+        let refused = vec![2.0, 0.5];
+        let mut w = JournalWriter::open(&jdir, JournalOptions::default()).unwrap();
+        for items in journaled.iter().chain([&refused]) {
+            w.append(JournalRecord {
+                seq: 0,
+                revision: 0,
+                landmark: 0,
+                out_of_distribution: false,
+                fell_back: false,
+                features: b.extract_all(items),
+                payload: b.encode_input(items),
+                trace_id: None,
+            })
+            .unwrap();
+        }
+        let mut corpus = CorpusStore::new(64);
+        compact_journal(&jdir, &mut corpus).unwrap();
+        assert_eq!(corpus.len(), 5);
+
+        let engine = Engine::serial();
+        let model =
+            retrain_from_corpus(&b, &base, &train_options(), &engine, &corpus, None, 1).unwrap();
+        assert_eq!(model.stats.skipped_payloads, 1);
+        assert_eq!(model.stats.new_inputs, 4);
+        assert_eq!(model.stats.merged_inputs, 16);
+        std::fs::remove_dir_all(&jdir).ok();
+    }
+
+    #[test]
     fn retraining_is_worker_count_invariant() {
         let dir = tmp("det");
         let jdir = dir.join("j");
