@@ -704,6 +704,17 @@ mod tests {
         assert_eq!((stats.journaled, stats.journal_dropped), (2, 3));
         assert_eq!(stats.journal_dropped, sink.dropped());
         assert!(sink.last_error().is_some());
+        // So does the `Metrics` reply.
+        let metrics = client.metrics().unwrap();
+        let tenant = &metrics.tenants[0];
+        assert_eq!(
+            (
+                tenant.journal_dropped,
+                tenant.recorded_dropped,
+                metrics.spans_dropped
+            ),
+            (3, 0, 0)
+        );
 
         // The scrape shows every drop counter: the journal's, the
         // recorder's (none here) and the span log's.
@@ -723,6 +734,55 @@ mod tests {
         handle.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&spans_dir).ok();
+    }
+
+    #[test]
+    fn log_append_and_mirror_stages_count_frames_only_when_attached() {
+        use intune_datalog::{RecorderSink, RecordingOptions};
+        use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use std::sync::Arc;
+
+        let batch: Vec<FeatureVector> = (0..4).map(|i| vector(i as f64)).collect();
+        let counts = |client: &DaemonClient| {
+            let stages = client.metrics().unwrap().stages;
+            (
+                stages.select.count,
+                stages.log_append.count,
+                stages.mirror.count,
+            )
+        };
+        // No log and no shadow: both stages stay empty.
+        let (handle, client) = start(DaemonOptions::default());
+        client.select_batch(&batch).unwrap();
+        assert_eq!(counts(&client), (1, 0, 0));
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+
+        // A journal, a recorder and (from the second frame) a shadow: one
+        // reading per frame in each stage that has work.
+        let dir = std::env::temp_dir().join(format!(
+            "intune-daemon-stages-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let journal = JournalSink::open(&dir.join("journal"), JournalOptions::default()).unwrap();
+        let recorder = RecorderSink::open(&dir.join("record"), RecordingOptions::default());
+        let opts = DaemonOptions {
+            trace: Some(Arc::new(journal) as Arc<dyn TraceSink>),
+            record: Some(Arc::new(recorder.unwrap())),
+            ..DaemonOptions::default()
+        };
+        let (handle, client) = start(opts);
+        client.select_batch(&batch).unwrap();
+        client.load_artifact(&artifact(2)).unwrap();
+        client.select_batch(&batch).unwrap();
+        let payloads = vec![serde_json::Value::Int(7); batch.len()];
+        client.select_batch_traced(&batch, &payloads).unwrap();
+        assert_eq!(counts(&client), (3, 3, 2));
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -263,8 +263,15 @@ pub struct StageTimings {
     /// Frame decode: checksum + payload parse into a [`Request`].
     pub decode: LatencySummary,
     /// Request handling: selection (or lifecycle work) producing the
-    /// reply message.
+    /// reply message. It holds the two stages below.
     pub select: LatencySummary,
+    /// Inside `select`: the request-log taps, the recorder's capture of
+    /// the frame plus the journal's append of its selections (frames of
+    /// tenants with neither log are not counted).
+    pub log_append: LatencySummary,
+    /// Inside `select`: mirroring the batch to the staged shadow (frames
+    /// of tenants without a shadow are not counted).
+    pub mirror: LatencySummary,
     /// Reply encode: message serialization + frame assembly.
     pub encode: LatencySummary,
     /// Queued write: draining the connection's outbox to the socket.
@@ -303,6 +310,12 @@ pub struct TenantMetrics {
     /// The slowest sampled request since startup, when tracing sampled
     /// one (elided when `None`, so pre-tracing peers interop).
     pub exemplar: Option<LatencyExemplar>,
+    /// Selections the request journal dropped since startup (0 without
+    /// a journal), as in [`DaemonStats::journal_dropped`].
+    pub journal_dropped: u64,
+    /// Request frames the wire recorder dropped since startup (0 without
+    /// a recorder), as in [`DaemonStats::recorded_dropped`].
+    pub recorded_dropped: u64,
 }
 
 /// The daemon-wide observability snapshot: what [`Request::Metrics`]
@@ -323,6 +336,9 @@ pub struct MetricsSnapshot {
     /// Lifecycle events dropped on encode/write failure (0 without
     /// `--events`).
     pub events_dropped: u64,
+    /// Spans the span log dropped on encode/write failure (0 without
+    /// `--spans`).
+    pub spans_dropped: u64,
 }
 
 /// Encodes a message into its frame payload (compact JSON).
@@ -388,9 +404,10 @@ pub fn decode_message<T: Deserialize>(text: &str) -> Result<T> {
 /// message, whitespace, a non-finite float spelled as a string, a
 /// hand-written client): callers **must** fall back to
 /// [`decode_message`], so coverage here is an optimization, never a
-/// compatibility statement. Numbers go through the same `str::parse`
-/// the generic parser uses, so both routes yield bit-identical vectors
-/// (a unit test pins this).
+/// compatibility statement. Numbers go through the generic parser's own
+/// number reader ([`serde_json::number_prefix`]), so both routes yield
+/// bit-identical vectors because they share the code (a unit test pins
+/// this).
 pub fn decode_select_batch(payload: &str) -> Option<Vec<FeatureVector>> {
     let mut scan = Scan::new(payload);
     scan.tag(b"{\"SelectBatch\":{\"features\":[")?;
@@ -543,58 +560,24 @@ impl<'a> Scan<'a> {
         Some(items)
     }
 
-    /// One JSON number, read exactly as the generic parser reads it: the
-    /// same grammar (no leading zeros, no `+`, no bare `.` or dangling
-    /// exponent) and the same value — integral text converts through
-    /// `i64`/`u64` first, so `-0` is `0.0` on both routes. A literal past
-    /// `f64::MAX` is refused, so the parser reports it as out of range.
+    /// One JSON number, read by the parser's own number reader
+    /// ([`serde_json::number_prefix`]) and converted as the derive
+    /// converts it: an integer through `i64`/`u64`, so `-0` is `0.0` on
+    /// both routes. A literal the parser refuses, one past `f64::MAX`
+    /// among them, is refused here too.
     fn number(&mut self) -> Option<f64> {
-        let start = self.at;
-        self.eat(b'-');
-        self.integer_part()?;
-        let fraction = self.eat(b'.');
-        if fraction && self.digits() == 0 {
-            return None;
-        }
-        let exponent = self.eat(b'e') || self.eat(b'E');
-        if exponent && !self.eat(b'+') {
-            self.eat(b'-');
-        }
-        if exponent && self.digits() == 0 {
-            return None;
-        }
-        let text = &self.text[start..self.at];
-        if !fraction && !exponent {
-            if let Ok(i) = text.parse::<i64>() {
-                return Some(i as f64);
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Some(u as f64);
-            }
-        }
-        text.parse::<f64>().ok().filter(|f| f.is_finite())
+        self.literal()?.as_f64()
     }
 
-    /// A non-negative JSON integer, as the parser's `i64`/`u64` reads it.
-    fn integer<T: std::str::FromStr>(&mut self) -> Option<T> {
-        let start = self.at;
-        self.integer_part()?;
-        self.text[start..self.at].parse().ok()
+    /// A non-negative JSON integer, as the derive reads it.
+    fn integer<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.literal()?.as_u64()?).ok()
     }
 
-    /// A JSON integer part: `0`, or digits without a leading zero.
-    fn integer_part(&mut self) -> Option<()> {
-        let start = self.at;
-        let n = self.digits();
-        (n == 1 || (n > 1 && self.bytes[start] != b'0')).then_some(())
-    }
-
-    fn digits(&mut self) -> usize {
-        let start = self.at;
-        while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
-            self.at += 1;
-        }
-        self.at - start
+    fn literal(&mut self) -> Option<serde_json::Value> {
+        let (value, len) = serde_json::number_prefix(&self.text[self.at..])?;
+        self.at += len;
+        Some(value)
     }
 
     fn vector(&mut self) -> Option<FeatureVector> {

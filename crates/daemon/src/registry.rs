@@ -9,14 +9,16 @@
 //! is routed through that binding — two tenants' lifecycles never
 //! interact.
 
+use crate::server::elapsed_ns;
 use crate::shadow::ShadowState;
 use arc_swap::ArcSwap;
-use intune_core::{Error, Result};
+use intune_core::{Error, FeatureVector, Result};
 use intune_datalog::RecorderSink;
 use intune_obs::{Counter, EventLog, Histogram, Sampler, SpanLog};
-use intune_serve::{ModelArtifact, ServeOptions, TraceSink, VectorService};
-use std::sync::atomic::AtomicU64;
+use intune_serve::{ModelArtifact, Selection, ServeOptions, TraceSink, VectorService};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// What one tenant serves: its initial artifact and (optionally) its own
 /// request journal. Every tenant gets a *separate* trace sink on purpose
@@ -77,6 +79,55 @@ pub(crate) struct TenantObs {
     pub(crate) latency: Histogram,
 }
 
+/// A tenant's request journal with a clock on it: the primary appends
+/// to the journal inside the selection, and the daemon's `log_append`
+/// stage takes that time back out with [`TimedJournal::take_ns`] once
+/// the selection returns. The event loop serves one frame at a time, so
+/// what it takes is that frame's append.
+pub(crate) struct TimedJournal {
+    sink: Arc<dyn TraceSink>,
+    /// Nanoseconds spent appending since the last take.
+    ns: AtomicU64,
+}
+
+impl TimedJournal {
+    fn new(sink: Arc<dyn TraceSink>) -> Self {
+        TimedJournal {
+            sink,
+            ns: AtomicU64::new(0),
+        }
+    }
+
+    /// The time spent appending since the last call, nanoseconds.
+    pub(crate) fn take_ns(&self) -> u64 {
+        self.ns.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl TraceSink for TimedJournal {
+    fn record_batch_printed(
+        &self,
+        revision: u64,
+        features: &[FeatureVector],
+        payloads: &[&str],
+        selections: &[Selection],
+        trace_id: Option<u64>,
+    ) {
+        let start = Instant::now();
+        self.sink
+            .record_batch_printed(revision, features, payloads, selections, trace_id);
+        self.ns.fetch_add(elapsed_ns(start), Ordering::Relaxed);
+    }
+
+    fn appended(&self) -> u64 {
+        self.sink.appended()
+    }
+
+    fn dropped(&self) -> u64 {
+        self.sink.dropped()
+    }
+}
+
 /// One benchmark's serving state inside the daemon.
 pub(crate) struct Tenant {
     /// `Benchmark::name()` — the registry key and the `Hello` routing
@@ -91,7 +142,7 @@ pub(crate) struct Tenant {
     pub(crate) shadow_rejections: AtomicU64,
     pub(crate) promotions: AtomicU64,
     /// This tenant's request journal; promoted primaries re-attach it.
-    pub(crate) trace: Option<Arc<dyn TraceSink>>,
+    pub(crate) trace: Option<Arc<TimedJournal>>,
     /// This tenant's wire-traffic recorder (the `--record` tap).
     pub(crate) recorder: Option<Arc<RecorderSink>>,
     /// Per-tenant sampler overriding the daemon-wide one, if configured.
@@ -134,7 +185,8 @@ impl ArtifactRegistry {
                 )));
             }
             let mut primary = VectorService::new(spec.artifact, serve.clone())?;
-            primary.set_trace(spec.trace.clone());
+            let trace = spec.trace.map(|sink| Arc::new(TimedJournal::new(sink)));
+            primary.set_trace(trace.clone().map(|t| t as Arc<dyn TraceSink>));
             // The event log follows the primary role (drift trips and
             // fallback transitions are journaled per tenant); promoted
             // successors re-attach it in `handle_promote`.
@@ -151,7 +203,7 @@ impl ArtifactRegistry {
                 }),
                 shadow_rejections: AtomicU64::new(0),
                 promotions: AtomicU64::new(0),
-                trace: spec.trace,
+                trace,
                 recorder: spec.recorder,
                 sampler: spec.trace_sample.map(Sampler::new),
                 obs: TenantObs::default(),

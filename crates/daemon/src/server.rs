@@ -224,6 +224,10 @@ struct DaemonObs {
     decode: Histogram,
     /// Request handling (selection or lifecycle work).
     select: Histogram,
+    /// Inside `select`: the recorder tap plus the journal append.
+    log_append: Histogram,
+    /// Inside `select`: the shadow mirror.
+    mirror: Histogram,
     /// Reply encode: serialization + frame assembly.
     encode: Histogram,
     /// Draining a connection's outbox to its socket.
@@ -245,6 +249,8 @@ impl DaemonObs {
         DaemonObs {
             decode: Histogram::new(),
             select: Histogram::new(),
+            log_append: Histogram::new(),
+            mirror: Histogram::new(),
             encode: Histogram::new(),
             queued_write: Histogram::new(),
             events,
@@ -256,7 +262,7 @@ impl DaemonObs {
 }
 
 /// Nanoseconds since `t0`, saturating (a histogram value, so u64).
-fn elapsed_ns(t0: Instant) -> u64 {
+pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -1557,16 +1563,23 @@ fn handle_select(
     // goes on to refuse. The payloads reach both logs as the same printed
     // text. The trace context rides along so a replayed recording
     // reproduces the same trace ids.
-    if let Some(recorder) = &tenant.recorder {
+    let tap_ns = tenant.recorder.as_ref().map_or(0, |recorder| {
+        let tap_start = Instant::now();
         let body = PrintedBody::Select {
             features,
             payloads,
             trace,
         };
         recorder.record_printed(&tenant.name, conn, body);
-    }
+        elapsed_ns(tap_start)
+    });
     let primary = tenant.primary.load();
-    let selections = match primary.select_vector_batch_printed(features, payloads, trace) {
+    let selected = primary.select_vector_batch_printed(features, payloads, trace);
+    if tenant.recorder.is_some() || tenant.trace.is_some() {
+        let append_ns = tenant.trace.as_ref().map_or(0, |journal| journal.take_ns());
+        shared.obs.log_append.record(tap_ns + append_ns);
+    }
+    let selections = match selected {
         Ok(s) => s,
         Err(e) => {
             return Response::Error {
@@ -1583,6 +1596,8 @@ fn handle_select(
     if let Some((shadow, seq)) = staged {
         let mirror_start = Instant::now();
         let tripped = shadow.mirror(features, &selections).unwrap_or(true);
+        let mirror_ns = elapsed_ns(mirror_start);
+        shared.obs.mirror.record(mirror_ns);
         if let (Some(ctx), Some(spans)) = (
             trace.filter(|c| c.sampled && c.trace_id != 0),
             &shared.obs.spans,
@@ -1596,7 +1611,7 @@ fn handle_select(
                     &tenant.name,
                 )
                 .annotate("tripped", tripped)
-                .lasting(elapsed_ns(mirror_start)),
+                .lasting(mirror_ns),
             );
         }
         if tripped {
@@ -1715,7 +1730,7 @@ fn handle_promote(shared: &Shared, tenant: &Tenant) -> Response {
             // The journal follows the primary role, not the artifact: a
             // promoted revision keeps feeding the tenant's trace sink.
             // So does the event log (drift trips, fallback recoveries).
-            primary.set_trace(tenant.trace.clone());
+            primary.set_trace(tenant.trace.clone().map(|t| t as Arc<dyn TraceSink>));
             primary.set_events(shared.obs.events.clone());
             primary.set_spans(shared.opts.spans.clone());
             tenant.primary.store(Arc::new(primary));
@@ -1797,6 +1812,8 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
         stages: StageTimings {
             decode: summarize(&shared.obs.decode),
             select: summarize(&shared.obs.select),
+            log_append: summarize(&shared.obs.log_append),
+            mirror: summarize(&shared.obs.mirror),
             encode: summarize(&shared.obs.encode),
             queued_write: summarize(&shared.obs.queued_write),
         },
@@ -1818,6 +1835,8 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
                     latency: LatencySummary::of(&latency),
                     promotions: tenant.promotions.load(Ordering::Acquire),
                     shadow_rejections: tenant.shadow_rejections.load(Ordering::Acquire),
+                    journal_dropped: tenant.trace.as_ref().map_or(0, |sink| sink.dropped()),
+                    recorded_dropped: tenant.recorder.as_ref().map_or(0, |sink| sink.dropped()),
                 }
             })
             .collect(),
@@ -1834,6 +1853,7 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
             .as_ref()
             .map(|log| log.dropped())
             .unwrap_or(0),
+        spans_dropped: shared.obs.spans.as_ref().map_or(0, |log| log.dropped()),
     }
 }
 
@@ -1883,6 +1903,8 @@ fn render_metrics_text(shared: &Shared) -> String {
     for (stage, histogram) in [
         ("decode", &shared.obs.decode),
         ("select", &shared.obs.select),
+        ("log_append", &shared.obs.log_append),
+        ("mirror", &shared.obs.mirror),
         ("encode", &shared.obs.encode),
         ("queued_write", &shared.obs.queued_write),
     ] {
