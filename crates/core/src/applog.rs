@@ -46,6 +46,25 @@
 //! feed retraining and replay, where losing the last batch to a power cut
 //! costs a little data, never correctness.
 //!
+//! **Checksums, four records at a time.** FNV-1a runs at the latency of
+//! one multiply per byte, and a log's records are independent, so both
+//! the writer and the scan hash them four at a time
+//! ([`codec::fnv1a64_lanes`]), in windows of records of like length.
+//! [`SegmentWriter::stage`] appends a record with `0`s in place of its
+//! checksum digits (`codec::stage_record`). The writer **seals** the
+//! records it has staged — hashes their payloads and writes their digits
+//! (`codec::seal_records`) — before every flush, so before every
+//! rotation, and before [`SegmentWriter::pending`] shows the buffer: a
+//! served batch is sealed together. So no record reaches a file
+//! unsealed, and the bytes are those [`codec::append_record`] writes one
+//! record at a time. (Sealing a record is not sealing a segment, which
+//! is its `fdatasync`.) A scan ([`codec::scan_records_with`]) walks a
+//! segment's frames first, then hashes the payloads of the records in
+//! the writer's layout four at a time and compares each hash with the
+//! digits stored beside it, and then reads the records in order with
+//! those verdicts: the first failing record still decides the torn tail.
+//! A single-file log appends one record per call and seals it alone.
+//!
 //! **Torn tails.** Appends are not atomic: a crash can leave a torn
 //! record at the end of the active segment. A scan ([`scan_typed`])
 //! recovers every complete, checksum-verified record and reports the tail
@@ -238,6 +257,9 @@ pub struct SegmentWriter<F: SegmentFormat> {
     pending: Vec<u8>,
     /// Records inside `pending`.
     pending_records: u64,
+    /// The records in `pending` whose checksum digits are still to be
+    /// written (see [`SegmentWriter::seal`]).
+    unsealed: Vec<codec::Unsealed>,
     /// Records durably written since open.
     durable: u64,
     format: PhantomData<F>,
@@ -294,6 +316,7 @@ impl<F: SegmentFormat> SegmentWriter<F> {
             next_seq,
             pending: Vec::new(),
             pending_records: 0,
+            unsealed: Vec::new(),
             durable: 0,
             format: PhantomData,
         })
@@ -314,9 +337,17 @@ impl<F: SegmentFormat> SegmentWriter<F> {
         self.durable
     }
 
-    /// The frames staged since the last flush.
-    pub fn pending(&self) -> &[u8] {
+    /// The frames staged since the last flush, sealed.
+    pub fn pending(&mut self) -> &[u8] {
+        self.seal();
         &self.pending
+    }
+
+    /// Writes the checksum digits of the records staged since the last
+    /// seal, hashing them four at a time ([`codec::seal_records`]).
+    fn seal(&mut self) {
+        codec::seal_records(&mut self.pending, &self.unsealed);
+        self.unsealed.clear();
     }
 
     /// Encodes `record` into the pending buffer, stamped with the next
@@ -352,9 +383,10 @@ impl<F: SegmentFormat> SegmentWriter<F> {
             self.records_in_segment = 0;
         }
         let seq = self.next_seq;
-        codec::append_record(&mut self.pending, F::SCHEMA, F::VERSION, |out| {
+        let staged = codec::stage_record(&mut self.pending, F::SCHEMA, F::VERSION, |out| {
             print(seq, out)
         })?;
+        self.unsealed.push(staged);
         self.pending_records += 1;
         self.records_in_segment += 1;
         self.next_seq += 1;
@@ -372,6 +404,7 @@ impl<F: SegmentFormat> SegmentWriter<F> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        self.seal();
         let outcome = self
             .file
             .write_all(&self.pending)
@@ -612,14 +645,8 @@ mod tests {
         }
     }
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-applog-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    fn tmp(tag: &str) -> crate::TempDir {
+        crate::unique_temp_dir(&format!("applog-{tag}"))
     }
 
     #[test]
@@ -636,7 +663,6 @@ mod tests {
             list_segments(&dir, Numbers::PREFIX).unwrap(),
             vec![segment_path(&dir, Numbers::PREFIX, 0)]
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -659,11 +685,54 @@ mod tests {
                 .iter()
                 .map(|s| std::fs::read(s).unwrap())
                 .collect();
-            std::fs::remove_dir_all(&dir).ok();
             bytes
         };
         let synced = write_all("sync-on", true);
         assert_eq!(synced.len(), 3, "7 records at 3 per segment");
         assert_eq!(synced, write_all("sync-off", false));
+    }
+
+    /// `records` encoded one at a time, each sealed alone.
+    fn serial_frames(records: std::ops::Range<i64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for x in records {
+            codec::append_record(&mut out, Numbers::SCHEMA, Numbers::VERSION, |o| {
+                Numbers::print(&(x * 7), x as u64, o)
+            })
+            .unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn staged_records_are_sealed_before_every_write_and_every_look() {
+        // Six records staged, none sealed yet: what `pending` shows is
+        // sealed, byte for byte the serial encoding.
+        let dir = tmp("sealed-pending");
+        let mut w = SegmentWriter::<Numbers>::open(&dir, SegmentOptions::default()).unwrap();
+        for x in 0..6 {
+            w.stage(x * 7).unwrap();
+        }
+        assert_eq!(w.pending(), serial_frames(0..6));
+
+        // Eleven records staged at three per segment: every rotation
+        // writes a window of three, the last flush two.
+        let dir = tmp("sealed-rotation");
+        let opts = SegmentOptions {
+            segment_max_records: 3,
+            sync_every_flush: false,
+        };
+        let mut w = SegmentWriter::<Numbers>::open(&dir, opts).unwrap();
+        for x in 0..11 {
+            w.stage(x * 7).unwrap();
+        }
+        w.flush().unwrap();
+        let written: Vec<Vec<u8>> = list_segments(&dir, Numbers::PREFIX)
+            .unwrap()
+            .iter()
+            .map(|s| std::fs::read(s).unwrap())
+            .collect();
+        let serial: Vec<Vec<u8>> = [0..3, 3..6, 6..9, 9..11].map(serial_frames).to_vec();
+        assert_eq!(written, serial);
     }
 }

@@ -25,21 +25,88 @@
 //! layout is read through [`decode_document`]. [`scan_records_with`]
 //! walks the same frames but hands each verified payload over as text,
 //! for a reader that parses only what it keeps.
+//!
+//! FNV-1a is one dependent xor-multiply per byte, so a single stream
+//! hashes at the multiplier's latency. Records are independent, so both
+//! sides of a log hash them four at a time ([`fnv1a64_lanes`]): the scan
+//! verifies the payloads of a segment's records in windows of four, and
+//! a writer stages records with placeholder digits (`stage_record`)
+//! and seals them four at a time (`seal_records`). Every checksum is
+//! the one [`fnv1a64`] gives, so no byte on disk changes.
 
 use crate::error::{Error, Result};
 use serde_json::Value;
 use std::borrow::Cow;
 use std::path::Path;
 
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// 64-bit FNV-1a over a byte stream (the workspace's one checksum
 /// primitive; also used by the measurement engine for cell seeds).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_on(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a continued from state `h` over `bytes`.
+fn fnv1a64_on(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// [`fnv1a64`] of four byte streams at once: lane `i` of the result is
+/// `fnv1a64(inputs[i])`, bit for bit.
+///
+/// Each byte of one stream waits for the multiply of the byte before it,
+/// so a lone stream runs at the multiplier's latency. Four independent
+/// chains run here in lockstep over the streams' common length, the next
+/// eight bytes of every lane taken per step and folded in byte by byte,
+/// which keeps the multiplier busy: four streams take about the time of
+/// one. The bytes past the common length are hashed one stream at a time.
+pub fn fnv1a64_lanes(inputs: [&[u8]; 4]) -> [u64; 4] {
+    let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0) & !7;
+    let mut h = [FNV_OFFSET; 4];
+    let [a, b, c, d] = inputs.map(|s| s[..common].chunks_exact(8));
+    for (((a, b), c), d) in a.zip(b).zip(c).zip(d) {
+        for i in 0..8 {
+            for (h, lane) in h.iter_mut().zip([a, b, c, d]) {
+                *h = (*h ^ u64::from(lane[i])).wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
+    for (h, s) in h.iter_mut().zip(inputs) {
+        *h = fnv1a64_on(*h, &s[common..]);
+    }
+    h
+}
+
+/// [`fnv1a64`] of each of `inputs`, in order, hashed four at a time. A
+/// window's lanes run in lockstep only over its shortest input, so the
+/// windows group inputs of like length: they are taken from the inputs
+/// sorted by length, longest first. The last window, of the shortest
+/// inputs, may hold fewer than four: two or three fill the spare lanes
+/// with their first input, which costs no more than the four-lane step
+/// itself, and a lone input is hashed serially, which is a little faster
+/// than four lanes of it.
+fn fnv1a64_each(inputs: &[&[u8]]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..inputs.len()).collect();
+    order.sort_unstable_by_key(|&i| inputs[i].len());
+    let mut out = vec![0; inputs.len()];
+    for window in order.rchunks(4) {
+        if let [i] = *window {
+            out[i] = fnv1a64(inputs[i]);
+            continue;
+        }
+        let lanes = std::array::from_fn(|k| inputs[*window.get(k).unwrap_or(&window[0])]);
+        for (&i, checksum) in window.iter().zip(fnv1a64_lanes(lanes)) {
+            out[i] = checksum;
+        }
+    }
+    out
 }
 
 /// Wraps `payload` in the checksummed envelope, returning the full
@@ -190,6 +257,29 @@ fn checksum_digits(canonical: &[u8]) -> String {
     format!("{:016x}", fnv1a64(canonical))
 }
 
+/// Writes `checksum` into `out` as [`checksum_digits`] spells it.
+fn put_checksum_digits(out: &mut [u8], checksum: u64) {
+    for (i, digit) in out.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(checksum >> (60 - 4 * i) & 0xf) as usize];
+    }
+}
+
+/// The checksum that 16 digits spell, provided they are spelled as
+/// [`checksum_digits`] spells it: lowercase hex, nothing else.
+fn parse_checksum_digits(digits: &[u8]) -> Option<u64> {
+    if digits.len() != 16 {
+        return None;
+    }
+    digits.iter().try_fold(0, |checksum, &d| {
+        let nibble = match d {
+            b'0'..=b'9' => d - b'0',
+            b'a'..=b'f' => d - b'a' + 10,
+            _ => return None,
+        };
+        Some(checksum << 4 | u64::from(nibble))
+    })
+}
+
 /// Upper bound on one framed record's body; larger length prefixes are
 /// treated as corruption, not allocation requests.
 pub const MAX_RECORD_BYTES: usize = 16 << 20;
@@ -237,6 +327,8 @@ pub fn encode_record(schema: &str, version: u32, payload: Value) -> Result<Vec<u
 /// parts of the payload as canonical text splices them in this way
 /// instead of building and printing the payload.
 ///
+/// This is `stage_record` and then `seal_records` of that one record.
+///
 /// # Errors
 /// Returns [`Error::Artifact`] when the encoded body exceeds
 /// [`MAX_RECORD_BYTES`], leaving `out` as it was.
@@ -246,6 +338,33 @@ pub fn append_record(
     version: u32,
     print: impl FnOnce(&mut Vec<u8>),
 ) -> Result<()> {
+    let staged = stage_record(out, schema, version, print)?;
+    seal_records(out, &[staged]);
+    Ok(())
+}
+
+/// A record [`stage_record`] wrote into a buffer with its checksum still
+/// to come: where its digits and its payload sit in that buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Unsealed {
+    digits: usize,
+    payload: usize,
+    end: usize,
+}
+
+/// Appends one [`append_record`] frame to `out` with `0`s in place of its
+/// checksum digits. The frame is complete once [`seal_records`] has
+/// written them; until then `out` must not change before its end.
+///
+/// # Errors
+/// Returns [`Error::Artifact`] when the encoded body exceeds
+/// [`MAX_RECORD_BYTES`], leaving `out` as it was.
+pub(crate) fn stage_record(
+    out: &mut Vec<u8>,
+    schema: &str,
+    version: u32,
+    print: impl FnOnce(&mut Vec<u8>),
+) -> Result<Unsealed> {
     let frame = out.len();
     out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(record_head(schema, version).as_bytes());
@@ -254,8 +373,7 @@ pub fn append_record(
     out.extend_from_slice(RECORD_PAYLOAD_KEY.as_bytes());
     let payload = out.len();
     print(out);
-    let checksum = checksum_digits(&out[payload..]);
-    out[digits..payload - RECORD_PAYLOAD_KEY.len()].copy_from_slice(checksum.as_bytes());
+    let end = out.len();
     out.push(b'}');
     let len = out.len() - frame - 4;
     if len > MAX_RECORD_BYTES {
@@ -265,21 +383,35 @@ pub fn append_record(
         )));
     }
     out[frame..frame + 4].copy_from_slice(&(len as u32).to_be_bytes());
-    Ok(())
+    Ok(Unsealed {
+        digits,
+        payload,
+        end,
+    })
 }
 
-/// The stored payload text of a body in exactly the layout
+/// Writes the checksum digits of records [`stage_record`] staged in
+/// `out`, hashing their payloads four at a time.
+pub(crate) fn seal_records(out: &mut [u8], staged: &[Unsealed]) {
+    let payloads: Vec<&[u8]> = staged.iter().map(|r| &out[r.payload..r.end]).collect();
+    let checksums = fnv1a64_each(&payloads);
+    for (r, checksum) in staged.iter().zip(checksums) {
+        put_checksum_digits(&mut out[r.digits..r.digits + 16], checksum);
+    }
+}
+
+/// The stored checksum and payload text of a body in exactly the layout
 /// [`encode_record`] writes (`head` is [`record_head`] for the expected
-/// schema and version), provided those bytes hash to the body's checksum.
+/// schema and version), whether or not the one hashes to the other.
 /// `None` for any other body: the caller then reads it with
 /// [`decode_document`], which accepts or rejects it on its own terms.
-fn record_payload<'t>(text: &'t str, head: &str) -> Option<&'t str> {
+fn record_layout<'t>(text: &'t str, head: &str) -> Option<(u64, &'t str)> {
     let rest = text.strip_prefix(head)?;
-    let digits = rest.get(..16)?;
+    let checksum = parse_checksum_digits(rest.as_bytes().get(..16)?)?;
     let payload = rest[16..]
         .strip_prefix(RECORD_PAYLOAD_KEY)?
         .strip_suffix('}')?;
-    (digits == checksum_digits(payload.as_bytes())).then_some(payload)
+    Some((checksum, payload))
 }
 
 /// Outcome of scanning a stream of framed records that may end in a torn
@@ -335,6 +467,13 @@ pub fn scan_records(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
 /// accepts exactly the texts `serde_json::from_str::<Value>` accepts,
 /// this scan accepts the same records, consumes the same bytes and types
 /// the same torn tail as [`scan_records`].
+///
+/// The scan runs in three steps. It walks the frame lengths and the UTF-8
+/// bodies; it hashes the payloads of the bodies in the writer's layout,
+/// four at a time, and compares each hash with the stored digits; then it
+/// reads the bodies in order with those verdicts. The first body that
+/// fails, in the walk or in the read, ends the records as it would in a
+/// scan one body at a time.
 pub fn scan_records_with<'a, T>(
     bytes: &'a [u8],
     schema: &str,
@@ -342,9 +481,27 @@ pub fn scan_records_with<'a, T>(
     mut read: impl FnMut(Cow<'a, str>) -> Result<T>,
 ) -> RecordScan<T> {
     let head = record_head(schema, version);
-    scan_frames(bytes, |text| {
-        if let Some(record) =
-            record_payload(text, &head).and_then(|payload| read(Cow::Borrowed(payload)).ok())
+    let frames = walk_frames(bytes);
+    let layouts: Vec<Option<(u64, &str)>> = frames
+        .bodies
+        .iter()
+        .map(|&(_, text)| record_layout(text, &head))
+        .collect();
+    let payloads: Vec<&[u8]> = layouts
+        .iter()
+        .flatten()
+        .map(|(_, p)| p.as_bytes())
+        .collect();
+    let mut checksums = fnv1a64_each(&payloads).into_iter();
+    let mut verified = layouts.into_iter().map(|layout| {
+        let (stored, payload) = layout?;
+        (checksums.next() == Some(stored)).then_some(payload)
+    });
+    frames.read(|text| {
+        if let Some(record) = verified
+            .next()
+            .flatten()
+            .and_then(|payload| read(Cow::Borrowed(payload)).ok())
         {
             return Ok(record);
         }
@@ -355,12 +512,20 @@ pub fn scan_records_with<'a, T>(
     })
 }
 
-/// The one frame walk: reads each complete UTF-8 body with `decode`.
-fn scan_frames<'a, T>(
-    bytes: &'a [u8],
-    mut decode: impl FnMut(&'a str) -> Result<T>,
-) -> RecordScan<T> {
-    let mut records = Vec::new();
+/// The complete UTF-8 bodies at the head of a stream of frames, each
+/// with the offset of its frame, and what ended the walk.
+struct Frames<'a> {
+    bodies: Vec<(usize, &'a str)>,
+    /// Where the walk stopped: the end of the last complete body.
+    end: usize,
+    /// Why it stopped short of the end of the stream, if it did.
+    torn: Option<Error>,
+}
+
+/// The one frame walk: every complete UTF-8 body, up to the first frame
+/// that is torn, over the cap or not UTF-8.
+fn walk_frames(bytes: &[u8]) -> Frames<'_> {
+    let mut bodies = Vec::new();
     let mut at = 0usize;
     let torn = loop {
         let remaining = bytes.len() - at;
@@ -385,25 +550,45 @@ fn scan_frames<'a, T>(
                 remaining - 4
             )));
         }
-        let body = &bytes[at + 4..at + 4 + len];
-        let text = match std::str::from_utf8(body) {
-            Ok(text) => text,
+        match std::str::from_utf8(&bytes[at + 4..at + 4 + len]) {
+            Ok(text) => bodies.push((at, text)),
             Err(e) => {
                 break Some(Error::artifact(format!(
                     "corrupt record at byte {at}: body is not UTF-8 ({e})"
                 )))
             }
-        };
-        match decode(text) {
-            Ok(record) => records.push(record),
-            Err(e) => break Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
         }
         at += 4 + len;
     };
-    RecordScan {
-        records,
-        consumed: at,
+    Frames {
+        bodies,
+        end: at,
         torn,
+    }
+}
+
+impl<'a> Frames<'a> {
+    /// Reads the bodies in order with `decode`. The first body it refuses
+    /// ends the records there, with a typed error naming its offset.
+    fn read<T>(self, mut decode: impl FnMut(&'a str) -> Result<T>) -> RecordScan<T> {
+        let mut records = Vec::with_capacity(self.bodies.len());
+        for (at, text) in self.bodies {
+            match decode(text) {
+                Ok(record) => records.push(record),
+                Err(e) => {
+                    return RecordScan {
+                        records,
+                        consumed: at,
+                        torn: Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
+                    }
+                }
+            }
+        }
+        RecordScan {
+            records,
+            consumed: self.end,
+            torn: self.torn,
+        }
     }
 }
 
@@ -486,7 +671,7 @@ mod tests {
 
     #[test]
     fn file_round_trip_and_missing_file() {
-        let dir = std::env::temp_dir().join(format!("intune-codec-test-{}", std::process::id()));
+        let dir = crate::unique_temp_dir("codec-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("doc.json");
         write_document(&path, "fs-schema", 3, payload()).unwrap();
@@ -496,7 +681,6 @@ mod tests {
             read_document(&missing, "fs-schema", 3),
             Err(Error::Artifact { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// v→v+1 upgrade used by the migration tests: tags the payload with
@@ -749,6 +933,93 @@ mod tests {
         serde_json::from_str(record_payload(text, head)?).ok()
     }
 
+    /// The stored payload text of a body in the writer's layout, provided
+    /// those bytes hash to its checksum digits, compared as text: the
+    /// check as the scan made it one body at a time.
+    fn record_payload<'t>(text: &'t str, head: &str) -> Option<&'t str> {
+        let rest = text.strip_prefix(head)?;
+        let digits = rest.get(..16)?;
+        let payload = rest[16..]
+            .strip_prefix(RECORD_PAYLOAD_KEY)?
+            .strip_suffix('}')?;
+        (digits == checksum_digits(payload.as_bytes())).then_some(payload)
+    }
+
+    /// The frame walk as it was before the scan took three steps: each
+    /// complete UTF-8 body read with `decode` as soon as it is walked.
+    fn scan_frames<'a, T>(
+        bytes: &'a [u8],
+        mut decode: impl FnMut(&'a str) -> Result<T>,
+    ) -> RecordScan<T> {
+        let mut records = Vec::new();
+        let mut at = 0usize;
+        let torn = loop {
+            let remaining = bytes.len() - at;
+            if remaining == 0 {
+                break None;
+            }
+            if remaining < 4 {
+                break Some(Error::artifact(format!(
+                    "torn record at byte {at}: {remaining} bytes of a length prefix"
+                )));
+            }
+            let len = u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+                as usize;
+            if len > MAX_RECORD_BYTES {
+                break Some(Error::artifact(format!(
+                    "corrupt record at byte {at}: announced {len} bytes, cap is {MAX_RECORD_BYTES}"
+                )));
+            }
+            if remaining - 4 < len {
+                break Some(Error::artifact(format!(
+                    "torn record at byte {at}: {} bytes of an announced {len}",
+                    remaining - 4
+                )));
+            }
+            let body = &bytes[at + 4..at + 4 + len];
+            let text = match std::str::from_utf8(body) {
+                Ok(text) => text,
+                Err(e) => {
+                    break Some(Error::artifact(format!(
+                        "corrupt record at byte {at}: body is not UTF-8 ({e})"
+                    )))
+                }
+            };
+            match decode(text) {
+                Ok(record) => records.push(record),
+                Err(e) => break Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
+            }
+            at += 4 + len;
+        };
+        RecordScan {
+            records,
+            consumed: at,
+            torn,
+        }
+    }
+
+    /// [`scan_records_with`] as it was before it hashed payloads four at a
+    /// time: one body at a time, each payload hashed alone.
+    fn serial_scan_with<'a, T>(
+        bytes: &'a [u8],
+        schema: &str,
+        version: u32,
+        mut read: impl FnMut(Cow<'a, str>) -> Result<T>,
+    ) -> RecordScan<T> {
+        let head = record_head(schema, version);
+        scan_frames(bytes, |text| {
+            if let Some(record) =
+                record_payload(text, &head).and_then(|payload| read(Cow::Borrowed(payload)).ok())
+            {
+                return Ok(record);
+            }
+            let payload = decode_document(text, schema, version)?;
+            read(Cow::Owned(
+                serde_json::to_string(&payload).expect("value printing is infallible"),
+            ))
+        })
+    }
+
     /// [`scan_records`] as it was before it read bodies in the writer's
     /// layout itself: every body through [`decode_document`].
     fn reference_scan(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
@@ -820,5 +1091,233 @@ mod tests {
         // Known FNV-1a 64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    /// `len` seeded bytes, all 256 values among them.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Each lane of the four-lane kernel is `fnv1a64` of its input,
+        /// whatever the inputs' lengths: none to four inputs (the rest
+        /// empty) of up to 64 KiB, equal or not, multiples of eight or
+        /// not. The batch hash, which windows up to eight such inputs by
+        /// length, gives each input's `fnv1a64` in order too.
+        #[test]
+        fn fnv_lanes_agree_with_fnv1a64(
+            seed in 0u64..1 << 40,
+            lens in proptest::collection::vec((0usize..4, 0usize..1 << 16, 0usize..16), 0..9),
+        ) {
+            let inputs: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, long, short))| {
+                    // Empty, short, long, or a multiple of eight.
+                    let len = [0, short, long, long & !7][kind];
+                    seeded_bytes(seed + i as u64, len)
+                })
+                .collect();
+            let want: Vec<u64> = inputs.iter().map(|s| fnv1a64(s)).collect();
+            let lanes = fnv1a64_lanes(std::array::from_fn(|i| {
+                inputs.get(i).map_or(&[][..], Vec::as_slice)
+            }));
+            for (i, lane) in lanes.iter().enumerate() {
+                let want = want.get(i).copied().unwrap_or(FNV_OFFSET);
+                proptest::prop_assert_eq!(*lane, want, "lane {}", i);
+            }
+            let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+            proptest::prop_assert_eq!(fnv1a64_each(&slices), want);
+        }
+    }
+
+    #[test]
+    fn checksum_digits_are_written_and_read_as_the_envelope_spells_them() {
+        for checksum in [0, 1, 0xcbf29ce484222325, u64::MAX, 0x0123_4567_89ab_cdef] {
+            let mut digits = [0u8; 16];
+            put_checksum_digits(&mut digits, checksum);
+            assert_eq!(digits, format!("{checksum:016x}").as_bytes());
+            assert_eq!(parse_checksum_digits(&digits), Some(checksum));
+        }
+        for bad in [
+            "0123456789ABCDEF",
+            "+123456789abcdef",
+            "0123456789abcde",
+            "0123456789abcdeg",
+        ] {
+            assert_eq!(parse_checksum_digits(bad.as_bytes()), None, "{bad}");
+        }
+    }
+
+    /// A reader of `{"i":N}` payloads that types a payload without `i`
+    /// as an alien shape: the inner `Err`, which the scan keeps as a
+    /// record.
+    fn read_index(text: Cow<'_, str>) -> Result<std::result::Result<i64, String>> {
+        let value: Value =
+            serde_json::from_str(&text).map_err(|e| Error::artifact(e.to_string()))?;
+        Ok(value
+            .get("i")
+            .and_then(Value::as_i64)
+            .ok_or_else(|| format!("alien {text}")))
+    }
+
+    /// Eight records `{"i":0}` to `{"i":7}`: two windows of four.
+    fn index_records() -> Vec<Vec<u8>> {
+        (0..8)
+            .map(|i| {
+                let payload = Value::Object(vec![("i".to_string(), Value::Int(i))]);
+                encode_record("rec", 2, payload).unwrap()
+            })
+            .collect()
+    }
+
+    /// The same record with one payload byte changed, so that its stored
+    /// checksum no longer matches.
+    fn bad_checksum(mut frame: Vec<u8>) -> Vec<u8> {
+        let at = frame.len() - 3;
+        assert!(frame[at].is_ascii_digit());
+        frame[at] = if frame[at] == b'9' { b'8' } else { b'9' };
+        frame
+    }
+
+    /// What the scan reports, errors as text.
+    type Report = (Vec<std::result::Result<i64, String>>, usize, Option<String>);
+
+    fn report(scan: RecordScan<std::result::Result<i64, String>>) -> Report {
+        (
+            scan.records,
+            scan.consumed,
+            scan.torn.map(|e| e.to_string()),
+        )
+    }
+
+    /// Scans `frames` with the four-lane scan and with the serial one,
+    /// asserts they agree, and returns the report.
+    fn scan_both(frames: &[Vec<u8>]) -> Report {
+        let stream = frames.concat();
+        let got = report(scan_records_with(&stream, "rec", 2, read_index));
+        let want = report(serial_scan_with(&stream, "rec", 2, read_index));
+        assert_eq!(got, want);
+        got
+    }
+
+    #[test]
+    fn a_bad_checksum_in_any_lane_ends_the_scan_as_the_serial_scan_does() {
+        let frames = index_records();
+        let offsets: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                let here = *at;
+                *at += f.len();
+                Some(here)
+            })
+            .collect();
+        for bad in 1..8 {
+            let mut frames = frames.clone();
+            frames[bad] = bad_checksum(frames[bad].clone());
+            let (records, consumed, torn) = scan_both(&frames);
+            assert_eq!(records, (0..bad as i64).map(Ok).collect::<Vec<_>>());
+            assert_eq!(consumed, offsets[bad]);
+            let torn = torn.expect("the bad record ends the scan");
+            assert!(torn.contains("checksum mismatch"), "{torn}");
+            assert!(
+                torn.contains(&format!("corrupt record at byte {}", offsets[bad])),
+                "{torn}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_checksum_after_an_alien_record_reports_both_as_the_serial_scan_does() {
+        let alien = encode_record("rec", 2, Value::String("no index".into())).unwrap();
+        for bad in 2..4 {
+            let mut frames = index_records();
+            frames[0] = alien.clone();
+            frames[bad] = bad_checksum(frames[bad].clone());
+            let (records, consumed, torn) = scan_both(&frames);
+            // The alien record is kept as its typed refusal, and the bad
+            // checksum ends the scan after it.
+            assert_eq!(records.len(), bad);
+            assert_eq!(records[0], Err("alien \"no index\"".to_string()));
+            assert_eq!(consumed, frames[..bad].concat().len());
+            assert!(torn.expect("typed").contains("checksum mismatch"));
+        }
+    }
+
+    #[test]
+    fn a_bad_checksum_after_a_record_in_another_layout_reports_as_the_serial_scan_does() {
+        let payload = Value::Object(vec![("i".to_string(), Value::Int(1))]);
+        let pretty = frame(&encode_document("rec", 2, payload));
+        for bad in 2..4 {
+            let mut frames = index_records();
+            frames[1] = pretty.clone();
+            frames[bad] = bad_checksum(frames[bad].clone());
+            let (records, consumed, torn) = scan_both(&frames);
+            // The pretty record loads through the full decode.
+            assert_eq!(records, (0..bad as i64).map(Ok).collect::<Vec<_>>());
+            assert_eq!(consumed, frames[..bad].concat().len());
+            assert!(torn.expect("typed").contains("checksum mismatch"));
+        }
+    }
+
+    #[test]
+    fn the_four_lane_scan_agrees_with_the_serial_scan_under_bit_flips() {
+        let mut frames = index_records();
+        frames[1] = frame(&encode_document(
+            "rec",
+            2,
+            Value::Object(vec![("i".to_string(), Value::Int(1))]),
+        ));
+        frames[4] = encode_record("rec", 2, Value::Null).unwrap();
+        let stream = frames.concat();
+        for at in 0..stream.len() {
+            let mut flipped = stream.clone();
+            flipped[at] ^= 1 << (at % 7);
+            let got = report(scan_records_with(&flipped, "rec", 2, read_index));
+            let want = report(serial_scan_with(&flipped, "rec", 2, read_index));
+            assert_eq!(got, want, "byte {at} flipped");
+        }
+    }
+
+    #[test]
+    fn staged_records_seal_to_the_bytes_append_writes() {
+        let payloads = tricky_payloads();
+        let mut appended = Vec::new();
+        let mut staged = Vec::new();
+        let mut unsealed = Vec::new();
+        for payload in &payloads {
+            let text = serde_json::to_string(payload).unwrap();
+            append_record(&mut appended, "rec", 2, |out| {
+                out.extend_from_slice(text.as_bytes())
+            })
+            .unwrap();
+            unsealed.push(
+                stage_record(&mut staged, "rec", 2, |out| {
+                    out.extend_from_slice(text.as_bytes())
+                })
+                .unwrap(),
+            );
+        }
+        assert_ne!(staged, appended, "staged records carry placeholder digits");
+        seal_records(&mut staged, &unsealed);
+        assert_eq!(staged, appended);
+        // An oversized record is refused and leaves the buffer as it was.
+        let before = staged.clone();
+        let err = stage_record(&mut staged, "rec", 2, |out| {
+            out.resize(out.len() + MAX_RECORD_BYTES, b'0')
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("frame cap"), "{err}");
+        assert_eq!(staged, before);
     }
 }

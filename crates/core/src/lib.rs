@@ -51,6 +51,7 @@ mod cost;
 mod error;
 mod features;
 mod selector;
+mod tempdir;
 mod trace;
 
 pub use benchmark::{AccuracySpec, Benchmark, BenchmarkExt};
@@ -61,4 +62,5 @@ pub use cost::{Cost, ExecutionReport, Stopwatch};
 pub use error::{Error, Result};
 pub use features::{FeatureDef, FeatureId, FeatureSample, FeatureSet, FeatureVector};
 pub use selector::{Selector, SelectorSpec};
+pub use tempdir::{unique_temp_dir, TempDir};
 pub use trace::TraceContext;

@@ -579,12 +579,7 @@ mod tests {
         use intune_serve::{JournalOptions, JournalSink, TraceSink};
         use std::sync::Arc;
 
-        let dir = std::env::temp_dir().join(format!(
-            "intune-daemon-journal-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = intune_core::unique_temp_dir("daemon-journal");
         let sink = Arc::new(JournalSink::open(&dir, JournalOptions::default()).unwrap());
         let opts = DaemonOptions {
             shadow: ShadowPolicy {
@@ -648,7 +643,6 @@ mod tests {
         }
         // Mirror traffic (the staged shadow scored 4 vectors) was NOT
         // journaled: 16 primary answers, not 20 records.
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -657,12 +651,8 @@ mod tests {
         use std::io::{Read as _, Write as _};
         use std::sync::Arc;
 
-        let dir = std::env::temp_dir().join(format!(
-            "intune-daemon-journal-drop-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let root = intune_core::unique_temp_dir("daemon-journal-drop");
+        let dir = root.join("journal");
         // Two records fill a segment, so the next append must rotate to
         // a new file in `dir`.
         let journal = JournalOptions {
@@ -670,7 +660,7 @@ mod tests {
             ..JournalOptions::default()
         };
         let sink = Arc::new(JournalSink::open(&dir, journal).unwrap());
-        let spans_dir = dir.with_extension("spans");
+        let spans_dir = root.join("spans");
         std::fs::create_dir_all(&spans_dir).unwrap();
         let opts = DaemonOptions {
             trace: Some(sink.clone() as Arc<dyn TraceSink>),
@@ -732,8 +722,6 @@ mod tests {
 
         client.shutdown().unwrap();
         handle.join().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&spans_dir).ok();
     }
 
     #[test]
@@ -760,12 +748,7 @@ mod tests {
 
         // A journal, a recorder and (from the second frame) a shadow: one
         // reading per frame in each stage that has work.
-        let dir = std::env::temp_dir().join(format!(
-            "intune-daemon-stages-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = intune_core::unique_temp_dir("daemon-stages");
         let journal = JournalSink::open(&dir.join("journal"), JournalOptions::default()).unwrap();
         let recorder = RecorderSink::open(&dir.join("record"), RecordingOptions::default());
         let opts = DaemonOptions {
@@ -782,7 +765,6 @@ mod tests {
         assert_eq!(counts(&client), (3, 3, 2));
         client.shutdown().unwrap();
         handle.join().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -794,12 +776,7 @@ mod tests {
         use intune_serve::VectorService;
         use std::sync::Arc;
 
-        let dir = std::env::temp_dir().join(format!(
-            "intune-daemon-record-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = intune_core::unique_temp_dir("daemon-record");
         let sink = Arc::new(RecorderSink::open(&dir, RecordingOptions::default()).unwrap());
         let opts = DaemonOptions {
             record: Some(Arc::clone(&sink)),
@@ -867,7 +844,6 @@ mod tests {
         let report = divergence(&a, &b);
         assert!(report.clean(), "{report:?}");
         assert_eq!(a.results[0].selections, expected);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -931,7 +907,9 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn unix_domain_socket_serves_the_same_protocol() {
-        let path = std::env::temp_dir().join(format!("intune-daemon-{}.sock", std::process::id()));
+        let dir = intune_core::unique_temp_dir("daemon-uds");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("daemon.sock");
         let daemon = Daemon::bind(
             artifact(1),
             DaemonOptions::default(),
@@ -1057,9 +1035,9 @@ mod tests {
     #[test]
     fn lifecycle_events_are_journaled_through_promote() {
         use intune_obs::{read_events, EventKind, EventLog};
-        let path =
-            std::env::temp_dir().join(format!("intune-daemon-events-{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = intune_core::unique_temp_dir("daemon-events");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.log");
         let opts = DaemonOptions {
             shadow: ShadowPolicy {
                 min_mirrored: 8,
@@ -1122,7 +1100,6 @@ mod tests {
             unreachable!()
         };
         assert_eq!(latency.count, 1, "one select frame before the snapshot");
-        let _ = std::fs::remove_file(&path);
     }
 
     /// One sampled request leaves a connected span tree across layers —
@@ -1132,8 +1109,7 @@ mod tests {
     #[test]
     fn traced_request_spans_cross_every_layer() {
         use intune_obs::{read_span_dir, SpanLog};
-        let dir = std::env::temp_dir().join(format!("intune-daemon-spans-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = intune_core::unique_temp_dir("daemon-spans");
         std::fs::create_dir_all(&dir).unwrap();
         let daemon_log = std::sync::Arc::new(SpanLog::open(&dir.join("daemon.spans.log")).unwrap());
         let client_log = std::sync::Arc::new(SpanLog::open(&dir.join("client.spans.log")).unwrap());
@@ -1206,7 +1182,6 @@ mod tests {
             .expect("sampled request leaves an exemplar");
         assert_eq!(exemplar.trace_id, trace);
         assert!(exemplar.value_ns > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The metrics endpoint is a GET-only scrape surface: non-GET

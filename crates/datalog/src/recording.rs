@@ -363,14 +363,8 @@ mod tests {
         fv
     }
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-datalog-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    fn tmp(tag: &str) -> intune_core::TempDir {
+        intune_core::unique_temp_dir(&format!("datalog-{tag}"))
     }
 
     /// A frame drawn from `(kind, x, vectors, trace, tenant)`: a control
@@ -463,7 +457,6 @@ mod tests {
                 expected.extend(derive_encoding(&frame));
             }
             proptest::prop_assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), expected);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -491,7 +484,6 @@ mod tests {
             }
         );
         assert_eq!(recording.frames[0].conn, 4);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -542,7 +534,6 @@ mod tests {
             Some(0xfeed),
             "a traced frame's context round-trips through the recording"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -581,6 +572,5 @@ mod tests {
         let recording = load_recording(&dir).unwrap();
         assert_eq!(recording.frames.len(), 1);
         assert_eq!(recording.torn_segments, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

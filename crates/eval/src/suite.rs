@@ -625,8 +625,8 @@ mod tests {
         );
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("intune-suite-{tag}-{}", std::process::id()));
+    fn tmp_dir(tag: &str) -> intune_core::TempDir {
+        let dir = intune_core::unique_temp_dir(&format!("suite-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -643,7 +643,7 @@ mod tests {
     fn persisted_caches_warm_start_a_second_run() {
         let dir = tmp_dir("cache");
         let run = CaseRunOptions {
-            cache_dir: Some(dir.clone()),
+            cache_dir: Some(dir.to_path_buf()),
             ..CaseRunOptions::default()
         };
         let cold_engine = Engine::serial();
@@ -661,7 +661,6 @@ mod tests {
             rows_equal(&cold.row, &warm.row),
             "warm-started run must reproduce the cold row"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -670,7 +669,7 @@ mod tests {
         // not collide with (and silently reuse) the first run's file.
         let dir = tmp_dir("cache-key");
         let run = CaseRunOptions {
-            cache_dir: Some(dir.clone()),
+            cache_dir: Some(dir.to_path_buf()),
             ..CaseRunOptions::default()
         };
         run_case_full(TestCase::Sort2, &tiny(), &Engine::serial(), &run).unwrap();
@@ -683,7 +682,6 @@ mod tests {
             "a different corpus must run cold, not reuse stale cells: {}",
             outcome.engine
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -695,7 +693,7 @@ mod tests {
             &tiny(),
             &engine,
             &CaseRunOptions {
-                artifacts: Some((dir.clone(), ArtifactMode::Save)),
+                artifacts: Some((dir.to_path_buf(), ArtifactMode::Save)),
                 ..CaseRunOptions::default()
             },
         )
@@ -707,7 +705,7 @@ mod tests {
             &tiny(),
             &Engine::serial(),
             &CaseRunOptions {
-                artifacts: Some((dir.clone(), ArtifactMode::Load)),
+                artifacts: Some((dir.to_path_buf(), ArtifactMode::Load)),
                 ..CaseRunOptions::default()
             },
         )
@@ -716,7 +714,6 @@ mod tests {
             rows_equal(&saved.row, &loaded.row),
             "the loaded artifact must reproduce the trained model's row"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -727,7 +724,7 @@ mod tests {
             &tiny(),
             &Engine::serial(),
             &CaseRunOptions {
-                artifacts: Some((dir.clone(), ArtifactMode::Load)),
+                artifacts: Some((dir.to_path_buf(), ArtifactMode::Load)),
                 ..CaseRunOptions::default()
             },
         )
@@ -736,7 +733,6 @@ mod tests {
             matches!(err, intune_core::Error::Artifact { .. }),
             "{err:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_every_cell() {
-        let dir = std::env::temp_dir().join(format!("intune-cache-test-{}", std::process::id()));
+        let dir = intune_core::unique_temp_dir("cache-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corpus.cache.json");
 
@@ -407,7 +407,6 @@ mod tests {
                 assert_eq!(loaded.peek(*input, key), Some(*report));
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -443,7 +442,7 @@ mod tests {
 
     #[test]
     fn tampered_cache_file_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("intune-cache-tamper-{}", std::process::id()));
+        let dir = intune_core::unique_temp_dir("cache-tamper");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corpus.cache.json");
         populated_cache().save(&path).unwrap();
@@ -456,7 +455,6 @@ mod tests {
             matches!(err, intune_core::Error::Artifact { .. }),
             "{err:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -206,17 +206,17 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("intune-obs-test-{}-{name}", std::process::id()));
+    /// A fresh directory and the path of an event log inside it.
+    fn tmp(name: &str) -> (intune_core::TempDir, PathBuf) {
+        let dir = intune_core::unique_temp_dir(&format!("obs-test-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("events.log")
+        let path = dir.join("events.log");
+        (dir, path)
     }
 
     #[test]
     fn append_and_scan_round_trip() {
-        let path = tmp("roundtrip");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("roundtrip");
         let log = EventLog::open(&path).unwrap();
         log.record("sort", 1, EventKind::TenantBound { conn: 7 });
         log.record(
@@ -243,8 +243,7 @@ mod tests {
 
     #[test]
     fn reopen_resumes_sequence_and_truncates_torn_tail() {
-        let path = tmp("reopen");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("reopen");
         {
             let log = EventLog::open(&path).unwrap();
             log.record("a", 1, EventKind::TenantBound { conn: 0 });
@@ -270,8 +269,7 @@ mod tests {
 
     #[test]
     fn concurrent_appends_reach_the_file_in_seq_order() {
-        let path = tmp("concurrent");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("concurrent");
         let log = EventLog::open(&path).unwrap();
         // Four threads start appending together.
         let start = std::sync::Barrier::new(4);
@@ -336,8 +334,7 @@ mod tests {
                 },
             },
         ];
-        let path = tmp("kinds");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("kinds");
         let log = EventLog::open(&path).unwrap();
         for (i, kind) in kinds.iter().enumerate() {
             log.record("t", i as u64, kind.clone());

@@ -264,12 +264,8 @@ pub fn read_span_dir(dir: &Path) -> Result<RecordScan<Span>> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-obs-span-test-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+    fn tmp(name: &str) -> intune_core::TempDir {
+        let dir = intune_core::unique_temp_dir(&format!("obs-span-test-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -288,7 +284,6 @@ mod tests {
         let scan = read_spans(&path).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.records, vec![span]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -308,7 +303,6 @@ mod tests {
         assert!(scan.torn.is_none(), "recovery left a torn tail");
         let names: Vec<&str> = scan.records.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["a", "c"], "torn span dropped, log resumed");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -356,6 +350,5 @@ mod tests {
         assert!(scan.torn.is_none());
         let names: Vec<&str> = scan.records.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["client.select_batch", "server.request"]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

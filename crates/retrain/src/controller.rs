@@ -674,13 +674,8 @@ mod tests {
     use intune_serve::journal::{JournalOptions, JournalWriter};
     use proptest::prelude::*;
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-retrain-ctl-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+    fn tmp(tag: &str) -> intune_core::TempDir {
+        let dir = intune_core::unique_temp_dir(&format!("retrain-ctl-{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -737,7 +732,6 @@ mod tests {
         assert_eq!(remove_segments(&report.absorbed), 2);
         let after = compact_journal(&jdir, &mut corpus).unwrap();
         assert_eq!(after.segments, 1, "only the active segment remains");
-        std::fs::remove_dir_all(&jdir).ok();
     }
 
     /// One journal record of a synthetic input, with or without its
@@ -817,7 +811,6 @@ mod tests {
         let again = compact_journal(&jdir, &mut corpus).unwrap();
         assert_eq!(again.stale, 13);
         assert_eq!(again.payloads_parsed, 0, "stale records parse nothing");
-        std::fs::remove_dir_all(&jdir).ok();
     }
 
     /// [`journal::scan_segment`] as the full parse spells it: every record
@@ -926,7 +919,6 @@ mod tests {
                     "{} pass: the corpora differ", pass
                 );
             }
-            std::fs::remove_dir_all(&jdir).ok();
         }
     }
 
@@ -999,7 +991,6 @@ mod tests {
         // A missing directory is an empty recording, not an error.
         let empty = compact_recording(&rdir.join("absent"), &mut corpus).unwrap();
         assert_eq!(empty, RecordingCompaction::default());
-        std::fs::remove_dir_all(&rdir).ok();
     }
 
     #[test]
@@ -1054,7 +1045,6 @@ mod tests {
             cold.artifact.to_document(),
             "the warm start changes cost, never results"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1091,7 +1081,6 @@ mod tests {
         assert_eq!(model.stats.skipped_payloads, 1);
         assert_eq!(model.stats.new_inputs, 4);
         assert_eq!(model.stats.merged_inputs, 16);
-        std::fs::remove_dir_all(&jdir).ok();
     }
 
     #[test]
@@ -1124,7 +1113,6 @@ mod tests {
             docs[0], docs[1],
             "same corpus must retrain to byte-identical artifacts at any worker count"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -803,11 +803,7 @@ mod tests {
 
     #[test]
     fn load_or_new_applies_the_requested_capacity() {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-corpus-cap-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = intune_core::unique_temp_dir("corpus-cap");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corpus.json");
         let mut c = CorpusStore::new(64);
@@ -824,7 +820,6 @@ mod tests {
         // Deterministic: reloading shrinks to the same survivors.
         let again = CorpusStore::load_or_new(&path, 4).unwrap();
         assert_eq!(again.entries(), shrunk.entries());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -842,11 +837,7 @@ mod tests {
         c.mark_cycle();
         c.offer(&record(9, 7.0, 7.0, true, true));
 
-        let dir = std::env::temp_dir().join(format!(
-            "intune-corpus-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = intune_core::unique_temp_dir("corpus");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corpus.json");
         c.save(&path).unwrap();
@@ -869,6 +860,5 @@ mod tests {
         assert_ne!(tampered, text, "tamper site must exist");
         std::fs::write(&path, tampered).unwrap();
         assert!(CorpusStore::load(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

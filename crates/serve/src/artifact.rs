@@ -310,7 +310,7 @@ mod tests {
         let artifact = ModelArtifact::export(&b, &result);
         artifact.validate(&b).unwrap();
 
-        let dir = std::env::temp_dir().join(format!("intune-artifact-test-{}", std::process::id()));
+        let dir = intune_core::unique_temp_dir("artifact-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("synthetic.model.json");
         artifact.save(&path).unwrap();
@@ -318,7 +318,6 @@ mod tests {
         assert_eq!(loaded, artifact);
         // Saving the loaded artifact reproduces the file byte for byte.
         assert_eq!(loaded.to_document(), artifact.to_document());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -338,14 +338,8 @@ mod tests {
         }
     }
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-journal-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    fn tmp(tag: &str) -> intune_core::TempDir {
+        intune_core::unique_temp_dir(&format!("journal-{tag}"))
     }
 
     #[test]
@@ -380,7 +374,6 @@ mod tests {
         assert_eq!(scan.records[0].revision, 7);
         assert_eq!(scan.records[0].landmark, 1);
         assert!(scan.records[0].out_of_distribution);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -418,7 +411,6 @@ mod tests {
         let scan = read_segment(&segment_path(&dir, 0)).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.records.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// [`read_segment`] as the full parse spells it, the oracle of the
@@ -576,7 +568,6 @@ mod tests {
             let trace_id = records[0].trace_id;
             sink.record_batch_traced(revision, &features, &payloads, &selections, trace_id);
             prop_assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), oracle);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 

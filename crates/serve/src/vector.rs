@@ -617,10 +617,9 @@ mod tests {
     fn drift_transitions_are_journaled_to_the_event_log() {
         use intune_obs::{read_events, EventKind, EventLog};
 
-        let dir = std::env::temp_dir().join(format!("intune-serve-events-{}", std::process::id()));
+        let dir = intune_core::unique_temp_dir("serve-events");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("drift-events.log");
-        let _ = std::fs::remove_file(&path);
         let events = Arc::new(EventLog::open(&path).unwrap());
 
         let mut svc = vector_service(ServeOptions {
@@ -656,7 +655,6 @@ mod tests {
         }
         assert!(matches!(kinds[1], EventKind::FallbackCleared { .. }));
         assert_eq!(scan.records[0].tenant, svc.artifact().benchmark);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use intune_retrain::{
     RetrainConfig, RetrainPolicy,
 };
 use intune_serve::{JournalOptions, JournalSink, ModelArtifact, ServeOptions, TraceSink};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Three input kinds; the matching switch value is 3–5× cheaper; the kind
@@ -115,13 +114,8 @@ fn train_options() -> TwoLevelOptions {
     }
 }
 
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "intune-continuous-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+fn tmp(tag: &str) -> intune_core::TempDir {
+    let dir = intune_core::unique_temp_dir(&format!("continuous-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -309,8 +303,6 @@ fn drifted_traffic_retrains_and_promotes_revision_n_plus_one_without_a_restart()
         docs[0], docs[1],
         "same corpus, any worker count, same bytes"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A *real* Table-1 case through the traced wire path: clustering inputs
@@ -387,5 +379,4 @@ fn clustering_inputs_flow_from_traced_wire_to_retraining_corpus() {
         let decoded = b.decode_input(payload).expect("payload decodes");
         assert_eq!(b.extract_all(&decoded).dense(), entry.features.dense());
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

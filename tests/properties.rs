@@ -22,7 +22,6 @@ use serde_json::Value;
 use std::fmt::Debug;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One log as the property drives it.
 trait Log {
@@ -269,14 +268,8 @@ fn case() -> impl Strategy<Value = (usize, usize, bool, usize, u64)> {
     )
 }
 
-fn fresh_dir(log: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "intune-log-crash-{log}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+fn fresh_dir(log: &str) -> intune_core::TempDir {
+    let dir = intune_core::unique_temp_dir(&format!("log-crash-{log}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -395,7 +388,6 @@ fn crash_tolerance<L: Log>(
             name
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
 

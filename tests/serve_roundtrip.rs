@@ -32,8 +32,8 @@ fn micro() -> SuiteConfig {
     }
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("intune-roundtrip-{tag}-{}", std::process::id()));
+fn tmp_dir(tag: &str) -> intune_core::TempDir {
+    let dir = intune_core::unique_temp_dir(&format!("roundtrip-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -102,10 +102,12 @@ fn all_eight_cases_round_trip_byte_identically() {
     let engine = Engine::serial();
     let cfg = micro();
     for case in TestCase::all() {
-        visit_case(case, &cfg, &engine, &mut RoundTrip { dir: dir.clone() })
+        let mut visitor = RoundTrip {
+            dir: dir.to_path_buf(),
+        };
+        visit_case(case, &cfg, &engine, &mut visitor)
             .unwrap_or_else(|e| panic!("{}: {e}", case.name()));
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A visitor that exports one case's artifact document for tamper tests.
