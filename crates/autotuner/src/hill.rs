@@ -1,7 +1,7 @@
 //! Hill-climbing baseline searcher.
 //!
-//! Used by the ablation benches to show that the EA's population diversity
-//! matters on rugged algorithmic-choice landscapes; it is *not* part of the
+//! A baseline against which the EA's population diversity can be shown to
+//! matter on rugged algorithmic-choice landscapes; it is *not* part of the
 //! two-level pipeline itself.
 
 use crate::ea::TuningResult;

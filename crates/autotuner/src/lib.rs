@@ -9,7 +9,7 @@
 //! and elitism. Fitness follows the paper's two-dimensional objective:
 //! *first* meet the accuracy target, *then* minimize execution cost
 //! ([`Objective`]). A simple hill climber ([`hill::HillClimber`]) is
-//! provided as a search-quality baseline for the ablation benches.
+//! provided as a search-quality baseline for the EA.
 //!
 //! ## Example
 //!

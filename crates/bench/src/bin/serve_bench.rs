@@ -10,15 +10,15 @@
 //! environment-dependent; selection counts and drift counters are
 //! deterministic for a given scale.
 
-use intune_bench::{micro_config, serve_baseline, serve_baseline_json, ServeBenchConfig};
-use intune_eval::TestCase;
+use intune_bench::{serve_baseline, serve_baseline_json, ServeBenchConfig};
+use intune_eval::{SuiteConfig, TestCase};
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
     let cfg = ServeBenchConfig {
-        suite: micro_config(),
+        suite: SuiteConfig::micro(),
         rounds: 64,
         // Production-representative drift-probe cadence: 1-in-16
         // requests pay the full-vector extraction + centroid distance.
@@ -26,8 +26,6 @@ fn main() {
         // the only number this moves; the cadence is recorded in the
         // report for cross-PR attribution.
         probe_every: 16,
-        artifact_dir: std::env::temp_dir()
-            .join(format!("intune-serve-bench-{}", std::process::id())),
     };
     eprintln!(
         "serving {} cases at micro scale ({} rounds x {} inputs)...",
@@ -40,5 +38,4 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write baseline json");
     print!("{json}");
     eprintln!("wrote {out_path}");
-    std::fs::remove_dir_all(&cfg.artifact_dir).ok();
 }

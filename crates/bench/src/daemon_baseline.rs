@@ -230,7 +230,6 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
             min_mirrored: 1,
             min_agreement: 0.99,
         },
-        trace: None,
         inject_faults: false,
         ..DaemonOptions::default()
     };
@@ -277,12 +276,9 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     // Tracing-overhead phase: the identical load against a fresh daemon
     // with the same options and the same staged shadows, differing only
     // in head-sampling 1-in-64 requests into a span log.
-    let span_path = std::env::temp_dir().join(format!(
-        "intune-bench-daemon-{}.spans.log",
-        std::process::id()
-    ));
-    std::fs::remove_file(&span_path).ok();
-    let spans = Arc::new(SpanLog::open(&span_path).expect("span log"));
+    let span_dir = intune_core::unique_temp_dir("bench-daemon-spans");
+    std::fs::create_dir_all(&span_dir).expect("span log dir");
+    let spans = Arc::new(SpanLog::open(&span_dir.join("spans.log")).expect("span log"));
     let traced_daemon = Daemon::bind_tenants(
         specs(),
         DaemonOptions {
@@ -307,8 +303,6 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     traced_controls[0].shutdown().expect("traced shutdown");
     traced_handle.join().expect("traced daemon exit");
     let spans_recorded = spans.appended();
-    drop(spans);
-    std::fs::remove_file(&span_path).ok();
 
     DaemonBenchResult {
         clients: cfg.clients as u64,
@@ -496,11 +490,10 @@ pub fn daemon_baseline_json(r: &DaemonBenchResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::micro_config;
 
     fn tiny() -> DaemonBenchConfig {
         DaemonBenchConfig {
-            suite: micro_config(),
+            suite: SuiteConfig::micro(),
             cases: vec![TestCase::Sort2, TestCase::Binpacking],
             clients: 3,
             batches_per_client: 2,

@@ -1,9 +1,9 @@
-//! The one JSON emitter behind every committed `BENCH_*.json` baseline.
+//! The one JSON emitter behind the committed `BENCH_serve.json` and
+//! `BENCH_daemon.json` baselines.
 //!
-//! `bench_exec`, `serve_bench`, and `daemon_bench` used to hand-assemble
-//! their JSON with ad-hoc `write!` calls; this module routes them all
-//! through a single writer with two hard guarantees so baselines diff
-//! cleanly across commits:
+//! `serve_bench` and `daemon_bench` write their documents through this
+//! single writer, with two hard guarantees so baselines diff cleanly
+//! across commits:
 //!
 //! * **sorted keys** — every object's fields are emitted in lexicographic
 //!   order, recursively, regardless of insertion order;

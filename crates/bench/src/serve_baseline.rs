@@ -15,7 +15,7 @@ use intune_exec::Engine;
 use intune_learning::pipeline::learn;
 use intune_learning::TwoLevelOptions;
 use intune_serve::{ModelArtifact, SelectorService, ServeOptions};
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 /// One case's contribution to the `BENCH_serve.json` baseline.
@@ -63,12 +63,12 @@ pub struct ServeBenchConfig {
     /// forced-drift pass always probes everything (cadence 1) so its
     /// counters stay exhaustive.
     pub probe_every: usize,
-    /// Where artifacts are written (and reloaded from).
-    pub artifact_dir: PathBuf,
 }
 
 struct ServeBenchVisitor<'a> {
     cfg: &'a ServeBenchConfig,
+    /// Where artifacts are written (and reloaded from).
+    artifact_dir: &'a Path,
 }
 
 impl CaseVisitor for ServeBenchVisitor<'_> {
@@ -90,7 +90,6 @@ impl CaseVisitor for ServeBenchVisitor<'_> {
         // the *reloaded* artifact, so the baseline exercises persistence.
         let result = learn(benchmark, train, opts, engine)?;
         let path = self
-            .cfg
             .artifact_dir
             .join(format!("{}.model.json", case.name()));
         ModelArtifact::export(benchmark, &result).save(&path)?;
@@ -150,18 +149,23 @@ impl CaseVisitor for ServeBenchVisitor<'_> {
     }
 }
 
-/// Runs the serving baseline for `cases`.
+/// Runs the serving baseline for `cases`. The artifacts go through a
+/// scratch directory that is removed on return.
 ///
 /// # Panics
 /// Panics if training or artifact persistence fails for a case.
 pub fn serve_baseline(cfg: &ServeBenchConfig, cases: &[TestCase]) -> Vec<ServeCaseBaseline> {
-    std::fs::create_dir_all(&cfg.artifact_dir).expect("artifact dir");
+    let artifact_dir = intune_core::unique_temp_dir("serve-bench");
+    std::fs::create_dir_all(&artifact_dir).expect("artifact dir");
     let engine = Engine::serial();
+    let mut visitor = ServeBenchVisitor {
+        cfg,
+        artifact_dir: &artifact_dir,
+    };
     cases
         .iter()
         .map(|&case| {
-            visit_case(case, &cfg.suite, &engine, &mut ServeBenchVisitor { cfg })
-                .expect("serve baseline case failed")
+            visit_case(case, &cfg.suite, &engine, &mut visitor).expect("serve baseline case failed")
         })
         .collect()
 }
@@ -231,20 +235,12 @@ pub fn serve_baseline_json(probe_every: usize, cases: &[ServeCaseBaseline]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::micro_config;
 
     fn config() -> ServeBenchConfig {
         ServeBenchConfig {
-            suite: micro_config(),
+            suite: SuiteConfig::micro(),
             rounds: 2,
             probe_every: 1,
-            // Per test thread: parallel tests must not share (and
-            // delete) one directory.
-            artifact_dir: std::env::temp_dir().join(format!(
-                "intune-serve-bench-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            )),
         }
     }
 
@@ -261,7 +257,6 @@ mod tests {
         assert_eq!(a.forced_ood, b.forced_ood);
         assert_eq!(a.forced_fallbacks, a.batch_size, "second batch fell back");
         assert!(a.fallback_engaged);
-        std::fs::remove_dir_all(&cfg.artifact_dir).ok();
     }
 
     #[test]
@@ -282,6 +277,5 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        std::fs::remove_dir_all(&cfg.artifact_dir).ok();
     }
 }

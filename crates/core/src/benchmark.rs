@@ -127,7 +127,7 @@ pub trait Benchmark {
 pub trait BenchmarkExt: Benchmark {
     /// Runs the benchmark and attaches wall-clock time to the report. The
     /// deterministic `cost` stays the primary metric (DESIGN.md §4); the
-    /// timing is informational, used by the Criterion benches.
+    /// timing is informational.
     fn run_timed(&self, cfg: &Configuration, input: &Self::Input) -> ExecutionReport {
         let sw = crate::cost::Stopwatch::start();
         let report = self.run(cfg, input);

@@ -3,8 +3,8 @@
 //! The paper evaluates on wall-clock time on a 32-core Xeon. This
 //! reproduction uses a *deterministic abstract cost* (weighted operation
 //! counts accumulated in a [`Cost`]) as the primary metric so that every
-//! experiment is exactly reproducible, while still recording wall-clock time
-//! for the Criterion benches. See DESIGN.md §4 for the substitution argument.
+//! experiment is exactly reproducible, while still able to record wall-clock
+//! time alongside it. See DESIGN.md §4 for the substitution argument.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;

@@ -140,11 +140,29 @@ mod tests {
     }
 
     fn start(opts: DaemonOptions) -> (DaemonHandle, DaemonClient) {
-        let daemon = Daemon::bind(artifact(1), opts, &ListenConfig::default()).unwrap();
+        spawn_connected(Daemon::bind(artifact(1), opts, &ListenConfig::default()).unwrap())
+    }
+
+    /// Spawns a bound daemon and connects one client to it.
+    fn spawn_connected(daemon: Daemon) -> (DaemonHandle, DaemonClient) {
         let addr = daemon.tcp_addr().to_string();
         let handle = daemon.spawn();
         let client = DaemonClient::connect(&addr).unwrap();
         (handle, client)
+    }
+
+    /// The test artifact as the sole tenant, with a request journal
+    /// and/or a wire-traffic recorder attached.
+    fn logged(
+        trace: Option<std::sync::Arc<dyn intune_serve::TraceSink>>,
+        recorder: Option<std::sync::Arc<intune_datalog::RecorderSink>>,
+    ) -> Vec<TenantSpec> {
+        vec![TenantSpec {
+            artifact: artifact(1),
+            trace,
+            recorder,
+            trace_sample: None,
+        }]
     }
 
     /// The test artifact under a different benchmark name — a second
@@ -576,7 +594,7 @@ mod tests {
     #[test]
     fn daemon_journals_served_selections_and_keeps_journaling_after_promote() {
         use intune_serve::journal::{list_segments, read_segment};
-        use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use intune_serve::{JournalOptions, JournalSink};
         use std::sync::Arc;
 
         let dir = intune_core::unique_temp_dir("daemon-journal");
@@ -586,15 +604,11 @@ mod tests {
                 min_mirrored: 4,
                 min_agreement: 0.99,
             },
-            trace: Some(sink.clone() as Arc<dyn TraceSink>),
             ..DaemonOptions::default()
         };
-        let (handle, client) = {
-            let daemon = Daemon::bind(artifact(1), opts, &ListenConfig::default()).unwrap();
-            let addr = daemon.tcp_addr().to_string();
-            let handle = daemon.spawn();
-            (handle, DaemonClient::connect(&addr).unwrap())
-        };
+        let specs = logged(Some(sink), None);
+        let (handle, client) =
+            spawn_connected(Daemon::bind_tenants(specs, opts, &ListenConfig::default()).unwrap());
 
         // Traced batch: payloads land in the journal alongside vectors.
         let batch: Vec<FeatureVector> = (0..4).map(|i| vector(i as f64)).collect();
@@ -647,7 +661,7 @@ mod tests {
 
     #[test]
     fn stats_count_journal_drops_when_the_journal_cannot_be_written() {
-        use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use intune_serve::{JournalOptions, JournalSink};
         use std::io::{Read as _, Write as _};
         use std::sync::Arc;
 
@@ -663,7 +677,6 @@ mod tests {
         let spans_dir = root.join("spans");
         std::fs::create_dir_all(&spans_dir).unwrap();
         let opts = DaemonOptions {
-            trace: Some(sink.clone() as Arc<dyn TraceSink>),
             spans: Some(Arc::new(
                 intune_obs::SpanLog::open(&spans_dir.join("daemon.spans.log")).unwrap(),
             )),
@@ -673,7 +686,7 @@ mod tests {
             metrics: Some("127.0.0.1:0".to_string()),
             ..ListenConfig::default()
         };
-        let daemon = Daemon::bind(artifact(1), opts, &listen).unwrap();
+        let daemon = Daemon::bind_tenants(logged(Some(sink.clone()), None), opts, &listen).unwrap();
         let scrape_addr = daemon.metrics_addr().expect("metrics listener bound");
         let addr = daemon.tcp_addr().to_string();
         let handle = daemon.spawn();
@@ -727,7 +740,7 @@ mod tests {
     #[test]
     fn log_append_and_mirror_stages_count_frames_only_when_attached() {
         use intune_datalog::{RecorderSink, RecordingOptions};
-        use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use intune_serve::{JournalOptions, JournalSink};
         use std::sync::Arc;
 
         let batch: Vec<FeatureVector> = (0..4).map(|i| vector(i as f64)).collect();
@@ -751,12 +764,11 @@ mod tests {
         let dir = intune_core::unique_temp_dir("daemon-stages");
         let journal = JournalSink::open(&dir.join("journal"), JournalOptions::default()).unwrap();
         let recorder = RecorderSink::open(&dir.join("record"), RecordingOptions::default());
-        let opts = DaemonOptions {
-            trace: Some(Arc::new(journal) as Arc<dyn TraceSink>),
-            record: Some(Arc::new(recorder.unwrap())),
-            ..DaemonOptions::default()
-        };
-        let (handle, client) = start(opts);
+        let specs = logged(Some(Arc::new(journal)), Some(Arc::new(recorder.unwrap())));
+        let (handle, client) = spawn_connected(
+            Daemon::bind_tenants(specs, DaemonOptions::default(), &ListenConfig::default())
+                .unwrap(),
+        );
         client.select_batch(&batch).unwrap();
         client.load_artifact(&artifact(2)).unwrap();
         client.select_batch(&batch).unwrap();
@@ -778,14 +790,18 @@ mod tests {
 
         let dir = intune_core::unique_temp_dir("daemon-record");
         let sink = Arc::new(RecorderSink::open(&dir, RecordingOptions::default()).unwrap());
-        let opts = DaemonOptions {
-            record: Some(Arc::clone(&sink)),
-            ..DaemonOptions::default()
-        };
-        let (handle, client) = start(opts);
+        let specs = logged(None, Some(Arc::clone(&sink)));
+        let daemon =
+            Daemon::bind_tenants(specs, DaemonOptions::default(), &ListenConfig::default())
+                .unwrap();
+        let addr = daemon.tcp_addr().to_string();
+        let (handle, client) = spawn_connected(daemon);
 
         let batch: Vec<FeatureVector> = (0..6).map(|i| vector(i as f64)).collect();
         let expected = client.select_batch(&batch).unwrap();
+        // A second connection interleaves its own selection frame.
+        let other = DaemonClient::connect(&addr).unwrap();
+        let other_expected = other.select_batch(&batch[3..]).unwrap();
         let payloads = vec![serde_json::Value::Int(7)];
         client.select_batch_traced(&batch[..1], &payloads).unwrap();
         // Pipelined batches land as ordinary frames, one per batch, in
@@ -795,24 +811,27 @@ mod tests {
             .unwrap();
         assert_eq!(piped.concat(), expected);
         let stats = client.stats().unwrap();
-        // Hello + 4 selection frames + the Stats request itself.
-        assert_eq!(stats.recorded, 6);
+        // Two Hellos + 5 selection frames + the Stats request itself.
+        assert_eq!(stats.recorded, 8);
         assert_eq!(sink.dropped(), 0);
+        drop(other);
         client.shutdown().unwrap();
         handle.join().unwrap();
 
         let recording = load_recording(&dir).unwrap();
         assert_eq!(recording.torn_segments, 0);
-        assert_eq!(recording.frames.len(), 6);
+        assert_eq!(recording.frames.len(), 8);
         assert!(
             matches!(&recording.frames[0].body, FrameBody::Control { kind } if kind == "Hello")
         );
         assert!(recording.frames.iter().all(|f| f.tenant == "daemon-test"));
-        assert!(
-            recording.frames.iter().all(|f| f.conn == 0),
-            "one connection, id 0"
+        let conns: Vec<u64> = recording.frames.iter().map(|f| f.conn).collect();
+        assert_eq!(
+            conns,
+            [0, 0, 1, 1, 0, 0, 0, 0],
+            "two connections, interleaved in arrival order"
         );
-        match &recording.frames[2].body {
+        match &recording.frames[4].body {
             FrameBody::Select {
                 features, payloads, ..
             } => {
@@ -824,7 +843,7 @@ mod tests {
 
         // Replay the capture in-process twice: transcripts byte-identical,
         // zero divergence, and the answers are exactly what the daemon
-        // originally served.
+        // originally served on each connection.
         let replay_service = || VectorService::new(artifact(1), ServeOptions::default()).unwrap();
         let a = replay(
             &recording.frames,
@@ -838,12 +857,14 @@ mod tests {
             &ReplayOptions::default(),
         )
         .unwrap();
-        assert_eq!(a.control_skipped, 2, "Hello + Stats");
-        assert_eq!(a.selections(), 13);
+        assert_eq!(a.control_skipped, 3, "two Hellos + Stats");
+        assert_eq!(a.selections(), 16);
         assert_eq!(a.transcript(), b.transcript());
         let report = divergence(&a, &b);
         assert!(report.clean(), "{report:?}");
         assert_eq!(a.results[0].selections, expected);
+        assert_eq!(a.results[1].conn, 1);
+        assert_eq!(a.results[1].selections, other_expected);
     }
 
     #[test]

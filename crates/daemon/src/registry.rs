@@ -28,7 +28,10 @@ pub struct TenantSpec {
     /// The initial primary artifact; its `benchmark` names the tenant.
     pub artifact: ModelArtifact,
     /// Optional request journal attached to this tenant's primary — the
-    /// initial artifact and each promoted successor.
+    /// initial artifact and each promoted successor. Staged shadows are
+    /// never traced: mirror traffic is an echo of the primary's, and
+    /// journaling it twice would poison the retraining corpus with
+    /// duplicates.
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Optional wire-traffic recorder: every inbound request frame for
     /// this tenant is captured into an `intune-datalog/1` recording

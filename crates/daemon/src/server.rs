@@ -112,21 +112,6 @@ pub struct DaemonOptions {
     /// The shadow promotion gate (shared by all tenants; each tenant's
     /// shadow is scored against its own traffic).
     pub shadow: ShadowPolicy,
-    /// Optional trace sink (the request journal) for [`Daemon::bind`]'s
-    /// sole tenant — attached to the initial artifact and each promoted
-    /// successor. Staged shadows are never traced: mirror traffic is an
-    /// echo of the primary's, and journaling it twice would poison the
-    /// retraining corpus with duplicates. Multi-tenant daemons pass one
-    /// sink per tenant via [`TenantSpec`] instead; [`Daemon::bind_tenants`]
-    /// ignores this field.
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Optional wire-traffic recorder (the `--record` tap) for
-    /// [`Daemon::bind`]'s sole tenant: every inbound request frame is
-    /// appended to an `intune-datalog/1` recording for later replay and
-    /// divergence checking. Multi-tenant daemons pass one recorder per
-    /// tenant via [`TenantSpec`] instead; [`Daemon::bind_tenants`]
-    /// ignores this field.
-    pub record: Option<Arc<intune_datalog::RecorderSink>>,
     /// Honor `InjectPanic` requests by panicking inside the request
     /// handler. Off by default; only the crash-containment tests turn it
     /// on. A production daemon answers the request with a typed refusal.
@@ -162,8 +147,6 @@ impl Default for DaemonOptions {
             serve: ServeOptions::default(),
             shadow_serve: ServeOptions::default(),
             shadow: ShadowPolicy::default(),
-            trace: None,
-            record: None,
             inject_faults: false,
             max_outbound_bytes: DEFAULT_MAX_OUTBOUND_BYTES,
             events: None,
@@ -179,8 +162,6 @@ impl std::fmt::Debug for DaemonOptions {
             .field("serve", &self.serve)
             .field("shadow_serve", &self.shadow_serve)
             .field("shadow", &self.shadow)
-            .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
-            .field("record", &self.record.as_ref().map(|_| "<sink>"))
             .field("inject_faults", &self.inject_faults)
             .field("max_outbound_bytes", &self.max_outbound_bytes)
             .field("events", &self.events.as_ref().map(|_| "<log>"))
@@ -312,8 +293,9 @@ impl DaemonHandle {
 
 impl Daemon {
     /// Binds the listeners and validates the initial artifact — the
-    /// single-tenant convenience over [`Daemon::bind_tenants`], carrying
-    /// [`DaemonOptions::trace`] as the sole tenant's journal.
+    /// single-tenant convenience over [`Daemon::bind_tenants`], with no
+    /// request journal or recorder (attach those through a
+    /// [`TenantSpec`]).
     ///
     /// # Errors
     /// Returns [`Error::Artifact`] for an inconsistent artifact and
@@ -325,8 +307,8 @@ impl Daemon {
     ) -> Result<Self> {
         let spec = TenantSpec {
             artifact,
-            trace: opts.trace.clone(),
-            recorder: opts.record.clone(),
+            trace: None,
+            recorder: None,
             trace_sample: None,
         };
         Daemon::bind_tenants(vec![spec], opts, listen)

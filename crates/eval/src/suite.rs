@@ -126,6 +126,27 @@ impl SuiteConfig {
         }
     }
 
+    /// Micro-scale settings: one case learns in tens of milliseconds.
+    /// The load generators, `intune_retrain --scale micro` and the daemon
+    /// tests train at this scale.
+    pub fn micro() -> Self {
+        SuiteConfig {
+            train: 16,
+            test: 8,
+            clusters: 3,
+            ea_population: 6,
+            ea_generations: 3,
+            folds: 2,
+            sort_n: (64, 256),
+            cluster_n: (60, 120),
+            pack_n: (60, 150),
+            svd_n: (8, 12),
+            pde2_sizes: vec![7],
+            pde3_sizes: vec![3],
+            ..SuiteConfig::ci()
+        }
+    }
+
     /// Paper-scale settings: K = 100 landmarks, thousands of inputs.
     pub fn paper_scale() -> Self {
         SuiteConfig {
@@ -562,7 +583,11 @@ mod tests {
             }
             sizes
         }
-        for cfg in [SuiteConfig::ci(), SuiteConfig::paper_scale()] {
+        for cfg in [
+            SuiteConfig::micro(),
+            SuiteConfig::ci(),
+            SuiteConfig::paper_scale(),
+        ] {
             for &n in &cfg.pde2_sizes {
                 let sizes = refined(Grid2d::poisson(n), Grid2d::n);
                 assert!(sizes.iter().all(|s| s % 2 == 1), "2-D {n}: {sizes:?}");

@@ -27,8 +27,8 @@ pub const CACHE_VERSION: u32 = 1;
 
 /// The workspace's one hit-rate definition: hits over total requests,
 /// zero when nothing was requested. Every surface that reports a rate
-/// (cache stats, engine stats, training stats, the `BENCH_exec.json`
-/// baseline) derives it from here so they can never disagree.
+/// (cache stats, engine stats, training stats) derives it from here so
+/// they can never disagree.
 pub fn hit_rate(hits: u64, requested: u64) -> f64 {
     if requested == 0 {
         0.0

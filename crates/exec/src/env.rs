@@ -1,23 +1,16 @@
 //! Hardened runtime-environment knobs.
 //!
-//! The engine's worker count (`INTUNE_THREADS`) and the persistent
-//! cost-cache directory (`INTUNE_CACHE_DIR`) are parsed here, once, with
-//! garbage surfacing as a typed [`Error::Config`] instead of silently
-//! degrading to a default — a daemon started with `INTUNE_THREADS=eight`
-//! should refuse to start, not quietly run on one worker. *Unset*
-//! variables are never an error: every `*_from_env` function returns
-//! `Ok(None)` for them.
+//! The engine's worker count (`INTUNE_THREADS`) is parsed here, once,
+//! with garbage surfacing as a typed [`Error::Config`] instead of
+//! silently degrading to a default — a daemon started with
+//! `INTUNE_THREADS=eight` should refuse to start, not quietly run on one
+//! worker. An *unset* variable is never an error: [`threads_from_env`]
+//! returns `Ok(None)` for it.
 
 use intune_core::{Error, Result};
-use std::path::PathBuf;
 
 /// Environment variable overriding the engine's worker-thread count.
 pub const THREADS_ENV: &str = "INTUNE_THREADS";
-
-/// Environment variable naming the persistent per-corpus cost-cache
-/// directory (used by `bench_exec` and the eval binaries' `--cache-dir`
-/// default).
-pub const CACHE_DIR_ENV: &str = "INTUNE_CACHE_DIR";
 
 /// Parses a worker-thread count as `INTUNE_THREADS` would carry it:
 /// a positive integer, surrounding whitespace tolerated.
@@ -57,45 +50,6 @@ pub fn threads_from_env() -> Result<Option<usize>> {
     }
 }
 
-/// Parses a cache-directory value as `INTUNE_CACHE_DIR` would carry it.
-///
-/// # Errors
-/// Returns [`Error::Config`] on an empty/whitespace-only value (almost
-/// always a broken shell expansion — caching into `""` would resolve to
-/// the current directory and scatter cache files silently).
-pub fn parse_cache_dir(raw: &str) -> Result<PathBuf> {
-    if raw.trim().is_empty() {
-        return Err(Error::config(
-            CACHE_DIR_ENV,
-            "value is empty; unset the variable to disable cache persistence",
-        ));
-    }
-    Ok(PathBuf::from(raw))
-}
-
-/// Reads and parses [`CACHE_DIR_ENV`]. Unset → `Ok(None)`.
-///
-/// # Errors
-/// Returns [`Error::Config`] when the variable is set to garbage
-/// (non-UTF-8 or empty).
-pub fn cache_dir_from_env() -> Result<Option<PathBuf>> {
-    match std::env::var_os(CACHE_DIR_ENV) {
-        None => Ok(None),
-        Some(os) => {
-            let raw = os
-                .to_str()
-                .ok_or_else(|| Error::config(CACHE_DIR_ENV, "value is not valid UTF-8"))?;
-            parse_cache_dir(raw).map(Some)
-        }
-    }
-}
-
-/// [`cache_dir_from_env`] for binaries: prints the typed error to stderr
-/// and exits with status 2 on garbage; `None` when unset.
-pub fn cache_dir_from_env_or_exit() -> Option<PathBuf> {
-    cache_dir_from_env().unwrap_or_else(|e| exit_config(&e))
-}
-
 pub(crate) fn exit_config(e: &Error) -> ! {
     eprintln!("error: {e}");
     std::process::exit(2)
@@ -128,17 +82,5 @@ mod tests {
         let err = parse_threads("0").unwrap_err();
         assert!(matches!(err, Error::Config { .. }), "{err:?}");
         assert!(err.to_string().contains("0"), "{err}");
-    }
-
-    #[test]
-    fn cache_dir_parse_rejects_empty_values() {
-        for bad in ["", "   ", "\t"] {
-            let err = parse_cache_dir(bad).unwrap_err();
-            assert!(
-                matches!(&err, Error::Config { var, .. } if var == CACHE_DIR_ENV),
-                "{bad:?}: {err:?}"
-            );
-        }
-        assert_eq!(parse_cache_dir("caches").unwrap(), PathBuf::from("caches"));
     }
 }

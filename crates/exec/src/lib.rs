@@ -67,8 +67,6 @@ pub mod plan;
 
 pub use cache::{hit_rate, CacheStats, ConfigKey, CostCache, CACHE_SCHEMA, CACHE_VERSION};
 pub use engine::{Engine, EngineStats};
-pub use env::{
-    cache_dir_from_env, cache_dir_from_env_or_exit, threads_from_env, CACHE_DIR_ENV, THREADS_ENV,
-};
+pub use env::{threads_from_env, THREADS_ENV};
 pub use executor::{ExecOutcome, Executor};
 pub use plan::{Cell, MeasurementPlan};

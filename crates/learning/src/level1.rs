@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn duplicate_landmarks_dedup_through_the_suite_measure_path() {
-        // Investigation of `dedup_saved: 0` across every BENCH_exec.json
+        // Why the suite's `dedup_saved` reads 0 at micro scale in every
         // case: suite plans are built from EA-winner landmarks, which are
         // pairwise-distinct *configurations* at every scale probed (they
         // can still produce identical cost rows when the differing genes

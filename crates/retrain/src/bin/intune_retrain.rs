@@ -135,23 +135,7 @@ fn compaction_line(c: &CompactionReport) -> String {
 /// The suite scale the artifact, base corpus, and replay corpus share.
 fn suite_config(scale: &str, seed: u64) -> SuiteConfig {
     let mut cfg = match scale {
-        // Mirrors `intune_bench::micro_config` (bench depends on this
-        // crate, so the constants are restated here).
-        "micro" => SuiteConfig {
-            train: 16,
-            test: 8,
-            clusters: 3,
-            ea_population: 6,
-            ea_generations: 3,
-            folds: 2,
-            sort_n: (64, 256),
-            cluster_n: (60, 120),
-            pack_n: (60, 150),
-            svd_n: (8, 12),
-            pde2_sizes: vec![7],
-            pde3_sizes: vec![3],
-            ..SuiteConfig::ci()
-        },
+        "micro" => SuiteConfig::micro(),
         "ci" => SuiteConfig::ci(),
         other => die(&format!("unknown --scale `{other}` (micro or ci)")),
     };

@@ -14,7 +14,7 @@ use intune_autotuner::TunerOptions;
 use intune_core::{
     AccuracySpec, Benchmark, ConfigSpace, Configuration, ExecutionReport, FeatureDef, FeatureSample,
 };
-use intune_daemon::{Daemon, DaemonClient, DaemonOptions, ListenConfig, ShadowPolicy};
+use intune_daemon::{Daemon, DaemonClient, DaemonOptions, ListenConfig, ShadowPolicy, TenantSpec};
 use intune_exec::Engine;
 use intune_learning::pipeline::learn;
 use intune_learning::{Level1Options, TwoLevelOptions};
@@ -22,7 +22,7 @@ use intune_retrain::{
     compact_journal, retrain_from_corpus, run_cycle, AdmissionPolicy, CorpusStore, CycleOutcome,
     RetrainConfig, RetrainPolicy,
 };
-use intune_serve::{JournalOptions, JournalSink, ModelArtifact, ServeOptions, TraceSink};
+use intune_serve::{JournalOptions, JournalSink, ModelArtifact, ServeOptions};
 use std::sync::Arc;
 
 /// Three input kinds; the matching switch value is 3–5× cheaper; the kind
@@ -154,8 +154,13 @@ fn drifted_traffic_retrains_and_promotes_revision_n_plus_one_without_a_restart()
         )
         .expect("journal opens"),
     );
-    let daemon = Daemon::bind(
-        artifact,
+    let daemon = Daemon::bind_tenants(
+        vec![TenantSpec {
+            artifact,
+            trace: Some(sink.clone()),
+            recorder: None,
+            trace_sample: None,
+        }],
         DaemonOptions {
             serve: ServeOptions {
                 drift_threshold: 1.0, // fallback pinned off; probes still record
@@ -170,7 +175,6 @@ fn drifted_traffic_retrains_and_promotes_revision_n_plus_one_without_a_restart()
                 min_mirrored: 24,
                 min_agreement: 0.0,
             },
-            trace: Some(sink.clone() as Arc<dyn TraceSink>),
             inject_faults: false,
             ..DaemonOptions::default()
         },
@@ -331,14 +335,18 @@ fn clustering_inputs_flow_from_traced_wire_to_retraining_corpus() {
     let sink = Arc::new(
         JournalSink::open(&journal_dir, JournalOptions::default()).expect("journal opens"),
     );
-    let daemon = Daemon::bind(
-        artifact,
+    let daemon = Daemon::bind_tenants(
+        vec![TenantSpec {
+            artifact,
+            trace: Some(sink.clone()),
+            recorder: None,
+            trace_sample: None,
+        }],
         DaemonOptions {
             serve: ServeOptions {
                 drift_threshold: 1.0,
                 ..ServeOptions::default()
             },
-            trace: Some(sink.clone() as Arc<dyn TraceSink>),
             ..DaemonOptions::default()
         },
         &ListenConfig::default(),

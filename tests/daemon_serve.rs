@@ -13,24 +13,6 @@ use intune_learning::pipeline::{evaluate_with_backend, evaluate_with_cache, lear
 use intune_learning::TwoLevelOptions;
 use intune_serve::{ModelArtifact, ServeOptions};
 
-fn micro() -> SuiteConfig {
-    SuiteConfig {
-        train: 16,
-        test: 8,
-        clusters: 3,
-        ea_population: 6,
-        ea_generations: 3,
-        folds: 2,
-        sort_n: (64, 256),
-        cluster_n: (60, 120),
-        pack_n: (60, 150),
-        svd_n: (8, 12),
-        pde2_sizes: vec![7],
-        pde3_sizes: vec![3],
-        ..SuiteConfig::ci()
-    }
-}
-
 /// The daemon options every test serves under: the primary's fallback
 /// is disabled (`drift_threshold: 1.0` can never be strictly exceeded)
 /// so remote selections are pure classifier answers, while staged
@@ -51,7 +33,6 @@ fn daemon_options() -> DaemonOptions {
             min_mirrored: 8,
             min_agreement: 0.99,
         },
-        trace: None,
         inject_faults: false,
         ..DaemonOptions::default()
     }
@@ -130,7 +111,7 @@ impl CaseVisitor for DaemonRoundTrip {
 #[test]
 fn remote_selection_is_byte_identical_to_in_process() {
     let engine = Engine::serial();
-    let cfg = micro();
+    let cfg = SuiteConfig::micro();
     // Two case families are enough here (feature shapes differ); the CI
     // job re-proves sort across two real OS processes.
     for case in [TestCase::Sort2, TestCase::Binpacking] {
@@ -215,5 +196,11 @@ impl CaseVisitor for ShadowLifecycle {
 #[test]
 fn forced_disagreement_shadow_is_auto_rejected_and_faithful_shadow_promotes() {
     let engine = Engine::serial();
-    visit_case(TestCase::Sort2, &micro(), &engine, &mut ShadowLifecycle).unwrap();
+    visit_case(
+        TestCase::Sort2,
+        &SuiteConfig::micro(),
+        &engine,
+        &mut ShadowLifecycle,
+    )
+    .unwrap();
 }

@@ -14,24 +14,6 @@ use intune_serve::{
 };
 use std::path::PathBuf;
 
-fn micro() -> SuiteConfig {
-    SuiteConfig {
-        train: 16,
-        test: 8,
-        clusters: 3,
-        ea_population: 6,
-        ea_generations: 3,
-        folds: 2,
-        sort_n: (64, 256),
-        cluster_n: (60, 120),
-        pack_n: (60, 150),
-        svd_n: (8, 12),
-        pde2_sizes: vec![7],
-        pde3_sizes: vec![3],
-        ..SuiteConfig::ci()
-    }
-}
-
 fn tmp_dir(tag: &str) -> intune_core::TempDir {
     let dir = intune_core::unique_temp_dir(&format!("roundtrip-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
@@ -100,7 +82,7 @@ impl CaseVisitor for RoundTrip {
 fn all_eight_cases_round_trip_byte_identically() {
     let dir = tmp_dir("cases");
     let engine = Engine::serial();
-    let cfg = micro();
+    let cfg = SuiteConfig::micro();
     for case in TestCase::all() {
         let mut visitor = RoundTrip {
             dir: dir.to_path_buf(),
@@ -136,7 +118,13 @@ impl CaseVisitor for ExportDoc {
 #[test]
 fn corrupted_and_stale_artifacts_are_rejected_with_typed_errors() {
     let engine = Engine::serial();
-    let text = visit_case(TestCase::Sort2, &micro(), &engine, &mut ExportDoc).unwrap();
+    let text = visit_case(
+        TestCase::Sort2,
+        &SuiteConfig::micro(),
+        &engine,
+        &mut ExportDoc,
+    )
+    .unwrap();
 
     // Corrupted payload byte → checksum mismatch.
     let tampered = text.replacen("\"landmarks\"", "\"landmorks\"", 1);
