@@ -8,8 +8,7 @@
 //! uniform crossover, per-gene mutation (local step or global re-sample),
 //! and elitism. Fitness follows the paper's two-dimensional objective:
 //! *first* meet the accuracy target, *then* minimize execution cost
-//! ([`Objective`]). A simple hill climber ([`hill::HillClimber`]) is
-//! provided as a search-quality baseline for the EA.
+//! ([`Objective`]).
 //!
 //! ## Example
 //!
@@ -30,9 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod ea;
-pub mod hill;
 pub mod objective;
 
 pub use ea::{EvolutionaryTuner, TunerOptions, TuningResult};
-pub use hill::HillClimber;
 pub use objective::Objective;

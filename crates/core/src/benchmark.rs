@@ -125,15 +125,6 @@ pub trait Benchmark {
 
 /// Blanket convenience methods for benchmarks.
 pub trait BenchmarkExt: Benchmark {
-    /// Runs the benchmark and attaches wall-clock time to the report. The
-    /// deterministic `cost` stays the primary metric (DESIGN.md §4); the
-    /// timing is informational.
-    fn run_timed(&self, cfg: &Configuration, input: &Self::Input) -> ExecutionReport {
-        let sw = crate::cost::Stopwatch::start();
-        let report = self.run(cfg, input);
-        report.timed(sw.elapsed_ns())
-    }
-
     /// Runs one *measurement cell* — configuration × input × cell seed —
     /// converting a benchmark panic into a typed [`Error::Measurement`]
     /// instead of aborting the caller. `input_idx` identifies the input in
@@ -381,17 +372,5 @@ mod tests {
             err,
             crate::error::Error::Measurement { input: 5, .. }
         ));
-    }
-
-    #[test]
-    fn run_timed_preserves_report_and_adds_time() {
-        let b = Toy;
-        let cfg = b.space().default_config();
-        let input = vec![0.0; 64];
-        let plain = b.run(&cfg, &input);
-        let timed = b.run_timed(&cfg, &input);
-        assert_eq!(timed.cost, plain.cost);
-        assert_eq!(timed.accuracy, plain.accuracy);
-        assert!(timed.time_ns.is_some());
     }
 }

@@ -27,12 +27,17 @@
 //! for a reader that parses only what it keeps.
 //!
 //! FNV-1a is one dependent xor-multiply per byte, so a single stream
-//! hashes at the multiplier's latency. Records are independent, so both
-//! sides of a log hash them four at a time ([`fnv1a64_lanes`]): the scan
-//! verifies the payloads of a segment's records in windows of four, and
-//! a writer stages records with placeholder digits (`stage_record`)
-//! and seals them four at a time (`seal_records`). Every checksum is
-//! the one [`fnv1a64`] gives, so no byte on disk changes.
+//! hashes at the multiplier's latency. A record's checksum is therefore
+//! the striped [`fnv1a64x4`]: four FNV-1a chains over the four quarters
+//! of the payload, run in lockstep ([`fnv1a64_lanes`]) and folded into
+//! one value. [`append_record`] tags it `fnv1a64x4:` in the envelope;
+//! records written before that tag existed carry `fnv1a64:`, one serial
+//! chain over the payload. Both readers, the scan and
+//! [`decode_document`], check each checksum with the algorithm its tag
+//! names, so an old segment reads back with the same records, verified
+//! one serial chain per record. Documents ([`encode_document`]) are
+//! written once per cycle, not once per request, and other builds read
+//! them: they keep the serial `fnv1a64:`.
 
 use crate::error::{Error, Result};
 use serde_json::Value;
@@ -84,29 +89,67 @@ pub fn fnv1a64_lanes(inputs: [&[u8]; 4]) -> [u64; 4] {
     h
 }
 
-/// [`fnv1a64`] of each of `inputs`, in order, hashed four at a time. A
-/// window's lanes run in lockstep only over its shortest input, so the
-/// windows group inputs of like length: they are taken from the inputs
-/// sorted by length, longest first. The last window, of the shortest
-/// inputs, may hold fewer than four: two or three fill the spare lanes
-/// with their first input, which costs no more than the four-lane step
-/// itself, and a lone input is hashed serially, which is a little faster
-/// than four lanes of it.
-fn fnv1a64_each(inputs: &[&[u8]]) -> Vec<u64> {
-    let mut order: Vec<usize> = (0..inputs.len()).collect();
-    order.sort_unstable_by_key(|&i| inputs[i].len());
-    let mut out = vec![0; inputs.len()];
-    for window in order.rchunks(4) {
-        if let [i] = *window {
-            out[i] = fnv1a64(inputs[i]);
-            continue;
-        }
-        let lanes = std::array::from_fn(|k| inputs[*window.get(k).unwrap_or(&window[0])]);
-        for (&i, checksum) in window.iter().zip(fnv1a64_lanes(lanes)) {
-            out[i] = checksum;
+/// The striped checksum of wire/3 frames and of log records: the
+/// [`fnv1a64`] values of the four quarters of `bytes`, hashed in lockstep
+/// by [`fnv1a64_lanes`], then [`fnv1a64`] of their 32 big-endian bytes.
+///
+/// For `n` bytes and `q = n / 4`, the quarters are `[0, q)`, `[q, 2q)`,
+/// `[2q, 3q)` and `[3q, n)`; the last takes the remainder. So a lone
+/// input keeps the multiplier as busy as four inputs do, about four
+/// times the rate of [`fnv1a64`] over the same bytes.
+pub fn fnv1a64x4(bytes: &[u8]) -> u64 {
+    let q = bytes.len() / 4;
+    let (a, rest) = bytes.split_at(q);
+    let (b, rest) = rest.split_at(q);
+    let (c, d) = rest.split_at(q);
+    let mut lanes = [0u8; 32];
+    for (out, lane) in lanes.chunks_exact_mut(8).zip(fnv1a64_lanes([a, b, c, d])) {
+        out.copy_from_slice(&lane.to_be_bytes());
+    }
+    fnv1a64(&lanes)
+}
+
+/// A checksum an envelope may name: the tag in front of its digits and
+/// the function the tag stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Checksum {
+    /// `fnv1a64:`, [`fnv1a64`]: documents, and records written before
+    /// the striped tag.
+    Serial,
+    /// `fnv1a64x4:`, [`fnv1a64x4`]: every record [`append_record`]
+    /// writes.
+    Striped,
+}
+
+impl Checksum {
+    /// The tag, colon included.
+    fn tag(self) -> &'static str {
+        match self {
+            Checksum::Serial => "fnv1a64:",
+            Checksum::Striped => "fnv1a64x4:",
         }
     }
-    out
+
+    /// The checksum of `bytes`.
+    fn of(self, bytes: &[u8]) -> u64 {
+        match self {
+            Checksum::Serial => fnv1a64(bytes),
+            Checksum::Striped => fnv1a64x4(bytes),
+        }
+    }
+
+    /// The tag and the 16 lowercase hex digits of the checksum of
+    /// `bytes`, as an envelope spells them.
+    fn spell(self, bytes: &[u8]) -> String {
+        format!("{}{:016x}", self.tag(), self.of(bytes))
+    }
+
+    /// The checksum whose tag starts `text`, and the text after the tag.
+    fn tagged(text: &str) -> Option<(Checksum, &str)> {
+        [Checksum::Striped, Checksum::Serial]
+            .into_iter()
+            .find_map(|c| Some((c, text.strip_prefix(c.tag())?)))
+    }
 }
 
 /// Wraps `payload` in the checksummed envelope, returning the full
@@ -114,7 +157,7 @@ fn fnv1a64_each(inputs: &[&[u8]]) -> Vec<u64> {
 /// canonical payload, so formatting is free to stay readable).
 pub fn encode_document(schema: &str, version: u32, payload: Value) -> String {
     let canonical = serde_json::to_string(&payload).expect("value printing is infallible");
-    let checksum = format!("fnv1a64:{}", checksum_digits(canonical.as_bytes()));
+    let checksum = Checksum::Serial.spell(canonical.as_bytes());
     let doc = Value::Object(vec![
         ("schema".to_string(), Value::String(schema.to_string())),
         ("version".to_string(), Value::UInt(version as u64)),
@@ -229,8 +272,11 @@ fn decode_envelope(
     let payload = doc
         .get("payload")
         .ok_or_else(|| Error::artifact("document lacks a `payload` field"))?;
+    // A tag this build does not know is held to the serial checksum, so
+    // it is refused as a mismatch.
+    let algorithm = Checksum::tagged(checksum).map_or(Checksum::Serial, |(c, _)| c);
     let canonical = serde_json::to_string(payload).expect("value printing is infallible");
-    let expected = format!("fnv1a64:{}", checksum_digits(canonical.as_bytes()));
+    let expected = algorithm.spell(canonical.as_bytes());
     if checksum != expected {
         return Err(Error::artifact(format!(
             "checksum mismatch: document says {checksum}, payload hashes to {expected}"
@@ -251,13 +297,7 @@ fn decode_envelope(
     }
 }
 
-/// The 16 lowercase hex digits of the FNV-1a checksum of `canonical`,
-/// as every envelope spells them after `fnv1a64:`.
-fn checksum_digits(canonical: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(canonical))
-}
-
-/// Writes `checksum` into `out` as [`checksum_digits`] spells it.
+/// Writes `checksum` into `out` as [`Checksum::spell`] spells it.
 fn put_checksum_digits(out: &mut [u8], checksum: u64) {
     for (i, digit) in out.iter_mut().enumerate() {
         *digit = b"0123456789abcdef"[(checksum >> (60 - 4 * i) & 0xf) as usize];
@@ -265,7 +305,7 @@ fn put_checksum_digits(out: &mut [u8], checksum: u64) {
 }
 
 /// The checksum that 16 digits spell, provided they are spelled as
-/// [`checksum_digits`] spells it: lowercase hex, nothing else.
+/// [`Checksum::spell`] spells it: lowercase hex, nothing else.
 fn parse_checksum_digits(digits: &[u8]) -> Option<u64> {
     if digits.len() != 16 {
         return None;
@@ -284,12 +324,12 @@ fn parse_checksum_digits(digits: &[u8]) -> Option<u64> {
 /// treated as corruption, not allocation requests.
 pub const MAX_RECORD_BYTES: usize = 16 << 20;
 
-/// The text of a record body up to its checksum digits:
-/// `{"schema":…,"version":…,"checksum":"fnv1a64:`, exactly as the
-/// compact print of the envelope spells it.
+/// The text of a record body up to its checksum tag:
+/// `{"schema":…,"version":…,"checksum":"`, exactly as the compact print
+/// of the envelope spells it.
 fn record_head(schema: &str, version: u32) -> String {
     let schema = serde_json::to_string(schema).expect("value printing is infallible");
-    format!("{{\"schema\":{schema},\"version\":{version},\"checksum\":\"fnv1a64:")
+    format!("{{\"schema\":{schema},\"version\":{version},\"checksum\":\"")
 }
 
 /// The text of a record body between the checksum digits and the
@@ -299,7 +339,8 @@ const RECORD_PAYLOAD_KEY: &str = "\",\"payload\":";
 /// Encodes one **framed record**: a 4-byte big-endian length prefix
 /// followed by the *compact* checksummed envelope (same fields as
 /// [`encode_document`], printed without whitespace — append-only logs are
-/// byte-budgeted, documents are human-read). [`scan_records`] walks a
+/// byte-budgeted, documents are human-read), its checksum the striped
+/// [`fnv1a64x4`] under the tag `fnv1a64x4:`. [`scan_records`] walks a
 /// stream of them back, surviving a torn tail.
 ///
 /// The payload is printed once: those canonical bytes are hashed and
@@ -327,8 +368,6 @@ pub fn encode_record(schema: &str, version: u32, payload: Value) -> Result<Vec<u
 /// parts of the payload as canonical text splices them in this way
 /// instead of building and printing the payload.
 ///
-/// This is `stage_record` and then `seal_records` of that one record.
-///
 /// # Errors
 /// Returns [`Error::Artifact`] when the encoded body exceeds
 /// [`MAX_RECORD_BYTES`], leaving `out` as it was.
@@ -338,42 +377,15 @@ pub fn append_record(
     version: u32,
     print: impl FnOnce(&mut Vec<u8>),
 ) -> Result<()> {
-    let staged = stage_record(out, schema, version, print)?;
-    seal_records(out, &[staged]);
-    Ok(())
-}
-
-/// A record [`stage_record`] wrote into a buffer with its checksum still
-/// to come: where its digits and its payload sit in that buffer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Unsealed {
-    digits: usize,
-    payload: usize,
-    end: usize,
-}
-
-/// Appends one [`append_record`] frame to `out` with `0`s in place of its
-/// checksum digits. The frame is complete once [`seal_records`] has
-/// written them; until then `out` must not change before its end.
-///
-/// # Errors
-/// Returns [`Error::Artifact`] when the encoded body exceeds
-/// [`MAX_RECORD_BYTES`], leaving `out` as it was.
-pub(crate) fn stage_record(
-    out: &mut Vec<u8>,
-    schema: &str,
-    version: u32,
-    print: impl FnOnce(&mut Vec<u8>),
-) -> Result<Unsealed> {
     let frame = out.len();
     out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(record_head(schema, version).as_bytes());
+    out.extend_from_slice(Checksum::Striped.tag().as_bytes());
     let digits = out.len();
     out.extend_from_slice(&[b'0'; 16]);
     out.extend_from_slice(RECORD_PAYLOAD_KEY.as_bytes());
     let payload = out.len();
     print(out);
-    let end = out.len();
     out.push(b'}');
     let len = out.len() - frame - 4;
     if len > MAX_RECORD_BYTES {
@@ -383,35 +395,24 @@ pub(crate) fn stage_record(
         )));
     }
     out[frame..frame + 4].copy_from_slice(&(len as u32).to_be_bytes());
-    Ok(Unsealed {
-        digits,
-        payload,
-        end,
-    })
+    let checksum = fnv1a64x4(&out[payload..out.len() - 1]);
+    put_checksum_digits(&mut out[digits..digits + 16], checksum);
+    Ok(())
 }
 
-/// Writes the checksum digits of records [`stage_record`] staged in
-/// `out`, hashing their payloads four at a time.
-pub(crate) fn seal_records(out: &mut [u8], staged: &[Unsealed]) {
-    let payloads: Vec<&[u8]> = staged.iter().map(|r| &out[r.payload..r.end]).collect();
-    let checksums = fnv1a64_each(&payloads);
-    for (r, checksum) in staged.iter().zip(checksums) {
-        put_checksum_digits(&mut out[r.digits..r.digits + 16], checksum);
-    }
-}
-
-/// The stored checksum and payload text of a body in exactly the layout
-/// [`encode_record`] writes (`head` is [`record_head`] for the expected
-/// schema and version), whether or not the one hashes to the other.
-/// `None` for any other body: the caller then reads it with
-/// [`decode_document`], which accepts or rejects it on its own terms.
-fn record_layout<'t>(text: &'t str, head: &str) -> Option<(u64, &'t str)> {
-    let rest = text.strip_prefix(head)?;
-    let checksum = parse_checksum_digits(rest.as_bytes().get(..16)?)?;
+/// The checksum, its stored value and the payload text of a body in
+/// exactly the layout [`encode_record`] writes, under either tag (`head`
+/// is [`record_head`] for the expected schema and version), whether or
+/// not the payload hashes to the stored value. `None` for any other
+/// body: the caller then reads it with [`decode_document`], which accepts
+/// or rejects it on its own terms.
+fn record_layout<'t>(text: &'t str, head: &str) -> Option<(Checksum, u64, &'t str)> {
+    let (algorithm, rest) = Checksum::tagged(text.strip_prefix(head)?)?;
+    let stored = parse_checksum_digits(rest.as_bytes().get(..16)?)?;
     let payload = rest[16..]
         .strip_prefix(RECORD_PAYLOAD_KEY)?
         .strip_suffix('}')?;
-    Some((checksum, payload))
+    Some((algorithm, stored, payload))
 }
 
 /// Outcome of scanning a stream of framed records that may end in a torn
@@ -460,20 +461,14 @@ pub fn scan_records(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
 /// payload reaches `read` as JSON text, and `read` makes the record.
 ///
 /// A body in the layout [`encode_record`] writes whose stored payload
-/// bytes hash to its checksum hands `read` those bytes, borrowed and
-/// unparsed. If `read` refuses them, or the body is in any other layout,
-/// the body is read by [`decode_document`] as in [`scan_records`], and
-/// `read` gets the canonical print of its payload instead. So when `read`
-/// accepts exactly the texts `serde_json::from_str::<Value>` accepts,
-/// this scan accepts the same records, consumes the same bytes and types
-/// the same torn tail as [`scan_records`].
-///
-/// The scan runs in three steps. It walks the frame lengths and the UTF-8
-/// bodies; it hashes the payloads of the bodies in the writer's layout,
-/// four at a time, and compares each hash with the stored digits; then it
-/// reads the bodies in order with those verdicts. The first body that
-/// fails, in the walk or in the read, ends the records as it would in a
-/// scan one body at a time.
+/// bytes hash to its checksum, under the algorithm its tag names, hands
+/// `read` those bytes, borrowed and unparsed. If `read` refuses them, or
+/// the body is in any other layout, the body is read by
+/// [`decode_document`] as in [`scan_records`], and `read` gets the
+/// canonical print of its payload instead. So when `read` accepts exactly
+/// the texts `serde_json::from_str::<Value>` accepts, this scan accepts
+/// the same records, consumes the same bytes and types the same torn tail
+/// as [`scan_records`].
 pub fn scan_records_with<'a, T>(
     bytes: &'a [u8],
     schema: &str,
@@ -481,27 +476,10 @@ pub fn scan_records_with<'a, T>(
     mut read: impl FnMut(Cow<'a, str>) -> Result<T>,
 ) -> RecordScan<T> {
     let head = record_head(schema, version);
-    let frames = walk_frames(bytes);
-    let layouts: Vec<Option<(u64, &str)>> = frames
-        .bodies
-        .iter()
-        .map(|&(_, text)| record_layout(text, &head))
-        .collect();
-    let payloads: Vec<&[u8]> = layouts
-        .iter()
-        .flatten()
-        .map(|(_, p)| p.as_bytes())
-        .collect();
-    let mut checksums = fnv1a64_each(&payloads).into_iter();
-    let mut verified = layouts.into_iter().map(|layout| {
-        let (stored, payload) = layout?;
-        (checksums.next() == Some(stored)).then_some(payload)
-    });
-    frames.read(|text| {
-        if let Some(record) = verified
-            .next()
-            .flatten()
-            .and_then(|payload| read(Cow::Borrowed(payload)).ok())
+    walk_frames(bytes, |text| {
+        if let Some(record) = record_layout(text, &head)
+            .filter(|&(algorithm, stored, payload)| algorithm.of(payload.as_bytes()) == stored)
+            .and_then(|(_, _, payload)| read(Cow::Borrowed(payload)).ok())
         {
             return Ok(record);
         }
@@ -512,20 +490,15 @@ pub fn scan_records_with<'a, T>(
     })
 }
 
-/// The complete UTF-8 bodies at the head of a stream of frames, each
-/// with the offset of its frame, and what ended the walk.
-struct Frames<'a> {
-    bodies: Vec<(usize, &'a str)>,
-    /// Where the walk stopped: the end of the last complete body.
-    end: usize,
-    /// Why it stopped short of the end of the stream, if it did.
-    torn: Option<Error>,
-}
-
-/// The one frame walk: every complete UTF-8 body, up to the first frame
-/// that is torn, over the cap or not UTF-8.
-fn walk_frames(bytes: &[u8]) -> Frames<'_> {
-    let mut bodies = Vec::new();
+/// The one frame walk: reads each complete UTF-8 body with `decode` as
+/// soon as it is walked, up to the first frame that is torn, over the
+/// cap or not UTF-8, or that `decode` refuses, with a typed error naming
+/// its offset.
+fn walk_frames<'a, T>(
+    bytes: &'a [u8],
+    mut decode: impl FnMut(&'a str) -> Result<T>,
+) -> RecordScan<T> {
+    let mut records = Vec::new();
     let mut at = 0usize;
     let torn = loop {
         let remaining = bytes.len() - at;
@@ -550,45 +523,24 @@ fn walk_frames(bytes: &[u8]) -> Frames<'_> {
                 remaining - 4
             )));
         }
-        match std::str::from_utf8(&bytes[at + 4..at + 4 + len]) {
-            Ok(text) => bodies.push((at, text)),
+        let text = match std::str::from_utf8(&bytes[at + 4..at + 4 + len]) {
+            Ok(text) => text,
             Err(e) => {
                 break Some(Error::artifact(format!(
                     "corrupt record at byte {at}: body is not UTF-8 ({e})"
                 )))
             }
+        };
+        match decode(text) {
+            Ok(record) => records.push(record),
+            Err(e) => break Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
         }
         at += 4 + len;
     };
-    Frames {
-        bodies,
-        end: at,
+    RecordScan {
+        records,
+        consumed: at,
         torn,
-    }
-}
-
-impl<'a> Frames<'a> {
-    /// Reads the bodies in order with `decode`. The first body it refuses
-    /// ends the records there, with a typed error naming its offset.
-    fn read<T>(self, mut decode: impl FnMut(&'a str) -> Result<T>) -> RecordScan<T> {
-        let mut records = Vec::with_capacity(self.bodies.len());
-        for (at, text) in self.bodies {
-            match decode(text) {
-                Ok(record) => records.push(record),
-                Err(e) => {
-                    return RecordScan {
-                        records,
-                        consumed: at,
-                        torn: Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
-                    }
-                }
-            }
-        }
-        RecordScan {
-            records,
-            consumed: self.end,
-            torn: self.torn,
-        }
     }
 }
 
@@ -884,11 +836,17 @@ mod tests {
         ]
     }
 
-    /// A frame as `encode_record` wrote it when it built the whole
-    /// envelope as a `Value` and printed it compactly.
-    fn envelope_frame(schema: &str, version: u32, payload: &Value) -> Vec<u8> {
+    /// The compact print of the whole envelope, built as a `Value`, with
+    /// the checksum `algorithm` names: the frame `encode_record` writes
+    /// under the striped tag, and under the serial tag the frame it wrote
+    /// before that tag existed.
+    fn envelope_frame(schema: &str, version: u32, payload: &Value, algorithm: Checksum) -> Vec<u8> {
         let canonical = serde_json::to_string(payload).unwrap();
-        let checksum = format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes()));
+        let checksum = format!(
+            "{}{:016x}",
+            algorithm.tag(),
+            by_definition(algorithm, canonical.as_bytes())
+        );
         let doc = Value::Object(vec![
             ("schema".to_string(), Value::String(schema.to_string())),
             ("version".to_string(), Value::UInt(version as u64)),
@@ -904,6 +862,31 @@ mod tests {
         out
     }
 
+    /// [`fnv1a64x4`] as its definition states it, with serial [`fnv1a64`]
+    /// only: each quarter hashed alone, the last taking the remainder.
+    fn fnv1a64x4_by_definition(bytes: &[u8]) -> u64 {
+        let q = bytes.len() / 4;
+        let quarters = [
+            &bytes[..q],
+            &bytes[q..2 * q],
+            &bytes[2 * q..3 * q],
+            &bytes[3 * q..],
+        ];
+        let lanes: Vec<u8> = quarters
+            .iter()
+            .flat_map(|quarter| fnv1a64(quarter).to_be_bytes())
+            .collect();
+        fnv1a64(&lanes)
+    }
+
+    /// The checksum `algorithm` names, computed by definition.
+    fn by_definition(algorithm: Checksum, bytes: &[u8]) -> u64 {
+        match algorithm {
+            Checksum::Serial => fnv1a64(bytes),
+            Checksum::Striped => fnv1a64x4_by_definition(bytes),
+        }
+    }
+
     #[test]
     fn record_bytes_match_the_compact_envelope_print() {
         for (schema, version) in [
@@ -916,15 +899,35 @@ mod tests {
                 let got = encode_record(schema, version, payload.clone()).unwrap();
                 assert_eq!(
                     got,
-                    envelope_frame(schema, version, &payload),
+                    envelope_frame(schema, version, &payload, Checksum::Striped),
                     "{schema} v{version}: {payload:?}"
                 );
                 // The reader's own layout check recognizes every record
-                // the writer produces.
+                // the writer produces, and every record written under the
+                // serial tag.
                 let body = std::str::from_utf8(&got[4..]).unwrap();
+                assert_eq!(decode_record_body(body, &head), Some(payload.clone()));
+                let old = envelope_frame(schema, version, &payload, Checksum::Serial);
+                let body = std::str::from_utf8(&old[4..]).unwrap();
                 assert_eq!(decode_record_body(body, &head), Some(payload));
             }
         }
+        // One record pinned byte for byte under each tag: the serial one
+        // is what the writer wrote before the striped tag existed.
+        let payload = Value::Object(vec![("k".to_string(), Value::Int(3))]);
+        let body = |checksum: &str| {
+            format!(
+                "{{\"schema\":\"rec\",\"version\":1,\"checksum\":\"{checksum}\",\"payload\":{{\"k\":3}}}}"
+            )
+        };
+        assert_eq!(
+            encode_record("rec", 1, payload.clone()).unwrap(),
+            frame(&body("fnv1a64x4:fd002f44385784bc"))
+        );
+        assert_eq!(
+            envelope_frame("rec", 1, &payload, Checksum::Serial),
+            frame(&body("fnv1a64:521c47ff00330011"))
+        );
     }
 
     /// [`scan_records`]' reading of a body in the writer's layout: the
@@ -933,73 +936,26 @@ mod tests {
         serde_json::from_str(record_payload(text, head)?).ok()
     }
 
-    /// The stored payload text of a body in the writer's layout, provided
-    /// those bytes hash to its checksum digits, compared as text: the
-    /// check as the scan made it one body at a time.
+    /// The stored payload text of a body in the writer's layout under
+    /// either tag, provided those bytes hash to its checksum digits by the
+    /// definition of the checksum the tag names, compared as text: the
+    /// check as a scan makes it one serial pass at a time.
     fn record_payload<'t>(text: &'t str, head: &str) -> Option<&'t str> {
         let rest = text.strip_prefix(head)?;
+        let (algorithm, rest) = match rest.strip_prefix("fnv1a64x4:") {
+            Some(rest) => (Checksum::Striped, rest),
+            None => (Checksum::Serial, rest.strip_prefix("fnv1a64:")?),
+        };
         let digits = rest.get(..16)?;
         let payload = rest[16..]
             .strip_prefix(RECORD_PAYLOAD_KEY)?
             .strip_suffix('}')?;
-        (digits == checksum_digits(payload.as_bytes())).then_some(payload)
+        let want = format!("{:016x}", by_definition(algorithm, payload.as_bytes()));
+        (digits == want).then_some(payload)
     }
 
-    /// The frame walk as it was before the scan took three steps: each
-    /// complete UTF-8 body read with `decode` as soon as it is walked.
-    fn scan_frames<'a, T>(
-        bytes: &'a [u8],
-        mut decode: impl FnMut(&'a str) -> Result<T>,
-    ) -> RecordScan<T> {
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        let torn = loop {
-            let remaining = bytes.len() - at;
-            if remaining == 0 {
-                break None;
-            }
-            if remaining < 4 {
-                break Some(Error::artifact(format!(
-                    "torn record at byte {at}: {remaining} bytes of a length prefix"
-                )));
-            }
-            let len = u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
-                as usize;
-            if len > MAX_RECORD_BYTES {
-                break Some(Error::artifact(format!(
-                    "corrupt record at byte {at}: announced {len} bytes, cap is {MAX_RECORD_BYTES}"
-                )));
-            }
-            if remaining - 4 < len {
-                break Some(Error::artifact(format!(
-                    "torn record at byte {at}: {} bytes of an announced {len}",
-                    remaining - 4
-                )));
-            }
-            let body = &bytes[at + 4..at + 4 + len];
-            let text = match std::str::from_utf8(body) {
-                Ok(text) => text,
-                Err(e) => {
-                    break Some(Error::artifact(format!(
-                        "corrupt record at byte {at}: body is not UTF-8 ({e})"
-                    )))
-                }
-            };
-            match decode(text) {
-                Ok(record) => records.push(record),
-                Err(e) => break Some(Error::artifact(format!("corrupt record at byte {at}: {e}"))),
-            }
-            at += 4 + len;
-        };
-        RecordScan {
-            records,
-            consumed: at,
-            torn,
-        }
-    }
-
-    /// [`scan_records_with`] as it was before it hashed payloads four at a
-    /// time: one body at a time, each payload hashed alone.
+    /// [`scan_records_with`] with every checksum computed by definition,
+    /// one serial pass at a time, and compared as text.
     fn serial_scan_with<'a, T>(
         bytes: &'a [u8],
         schema: &str,
@@ -1007,7 +963,7 @@ mod tests {
         mut read: impl FnMut(Cow<'a, str>) -> Result<T>,
     ) -> RecordScan<T> {
         let head = record_head(schema, version);
-        scan_frames(bytes, |text| {
+        walk_frames(bytes, |text| {
             if let Some(record) =
                 record_payload(text, &head).and_then(|payload| read(Cow::Borrowed(payload)).ok())
             {
@@ -1023,7 +979,7 @@ mod tests {
     /// [`scan_records`] as it was before it read bodies in the writer's
     /// layout itself: every body through [`decode_document`].
     fn reference_scan(bytes: &[u8], schema: &str, version: u32) -> RecordScan {
-        scan_frames(bytes, |text| decode_document(text, schema, version))
+        walk_frames(bytes, |text| decode_document(text, schema, version))
     }
 
     fn assert_same_scan(bytes: &[u8], what: &str) {
@@ -1040,9 +996,14 @@ mod tests {
 
     #[test]
     fn scan_agrees_with_the_full_decode_under_bit_flips_and_truncation() {
+        // Records under both tags: the middle one as written before the
+        // striped tag existed.
         let mut stream = Vec::new();
-        for payload in tricky_payloads().into_iter().take(3) {
-            stream.extend(encode_record("rec", 2, payload).unwrap());
+        for (i, payload) in tricky_payloads().into_iter().take(3).enumerate() {
+            stream.extend(match i {
+                1 => envelope_frame("rec", 2, &payload, Checksum::Serial),
+                _ => encode_record("rec", 2, payload).unwrap(),
+            });
         }
         let intact = scan_records(&stream, "rec", 2);
         assert_eq!(intact.records.len(), 3);
@@ -1052,7 +1013,16 @@ mod tests {
             for bit in 0..8 {
                 let mut flipped = stream.clone();
                 flipped[at] ^= 1 << bit;
-                assert_same_scan(&flipped, &format!("bit {bit} of byte {at} flipped"));
+                let what = format!("bit {bit} of byte {at} flipped");
+                assert_same_scan(&flipped, &what);
+                // Caught: the scan ends at the damage, unless the flip
+                // only respelled a payload the decode reads to the same
+                // value (`1e-7` as `1E-7`).
+                let scan = scan_records(&flipped, "rec", 2);
+                assert!(
+                    scan.torn.is_some() || scan.records == intact.records,
+                    "{what}"
+                );
             }
         }
         for cut in 0..stream.len() {
@@ -1065,16 +1035,22 @@ mod tests {
         let payload = tricky_payloads().remove(0);
         let head = record_head("rec", 2);
         let canonical = serde_json::to_string(&payload).unwrap();
-        let checksum = Value::String(format!("fnv1a64:{}", checksum_digits(canonical.as_bytes())));
-        let reordered = serde_json::to_string(&Value::Object(vec![
-            ("payload".to_string(), payload.clone()),
-            ("checksum".to_string(), checksum),
-            ("version".to_string(), Value::UInt(2)),
-            ("schema".to_string(), Value::String("rec".into())),
-        ]))
-        .unwrap();
+        let reordered = |algorithm: Checksum| {
+            let checksum = Value::String(algorithm.spell(canonical.as_bytes()));
+            serde_json::to_string(&Value::Object(vec![
+                ("payload".to_string(), payload.clone()),
+                ("checksum".to_string(), checksum),
+                ("version".to_string(), Value::UInt(2)),
+                ("schema".to_string(), Value::String("rec".into())),
+            ]))
+            .unwrap()
+        };
         let pretty = encode_document("rec", 2, payload.clone());
-        for body in [pretty, reordered] {
+        for body in [
+            pretty,
+            reordered(Checksum::Serial),
+            reordered(Checksum::Striped),
+        ] {
             assert_eq!(
                 decode_record_body(&body, &head),
                 None,
@@ -1084,6 +1060,10 @@ mod tests {
             assert!(scan.torn.is_none(), "{:?}", scan.torn);
             assert_eq!(scan.records, vec![payload.clone()]);
         }
+        // A tag no build writes is refused as a mismatch.
+        let foreign = reordered(Checksum::Serial).replace("\"fnv1a64:", "\"fnv1a64x8:");
+        let err = decode_document(&foreign, "rec", 2).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
     }
 
     #[test]
@@ -1091,6 +1071,27 @@ mod tests {
         // Known FNV-1a 64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+    }
+
+    #[test]
+    fn fnv1a64x4_golden_values() {
+        // Computed by an independent implementation of the definition.
+        let short = [
+            0xa112fa43c99222c5,
+            0x3797132136d11ec5,
+            0xd886e977a0879127,
+            0x12124fc576f9111d,
+            0xbd872e8300fc9664,
+            0x1dac002937f7195d,
+            0xba804fc7f52dca29,
+            0x53c5ef957bacdcbc,
+        ];
+        for (len, want) in short.into_iter().enumerate() {
+            assert_eq!(fnv1a64x4(&b"abcdefg"[..len]), want, "{len} bytes");
+        }
+        let pattern: Vec<u8> = (0..4096u32).map(|i| ((i * 31 + 7) % 251) as u8).collect();
+        assert_eq!(fnv1a64x4(&pattern), 0xb8cf5890b5b539f1);
+        assert_eq!(fnv1a64(&pattern), 0x1de6156a4e48cb20);
     }
 
     /// `len` seeded bytes, all 256 values among them.
@@ -1112,12 +1113,11 @@ mod tests {
         /// Each lane of the four-lane kernel is `fnv1a64` of its input,
         /// whatever the inputs' lengths: none to four inputs (the rest
         /// empty) of up to 64 KiB, equal or not, multiples of eight or
-        /// not. The batch hash, which windows up to eight such inputs by
-        /// length, gives each input's `fnv1a64` in order too.
+        /// not.
         #[test]
         fn fnv_lanes_agree_with_fnv1a64(
             seed in 0u64..1 << 40,
-            lens in proptest::collection::vec((0usize..4, 0usize..1 << 16, 0usize..16), 0..9),
+            lens in proptest::collection::vec((0usize..4, 0usize..1 << 16, 0usize..16), 0..5),
         ) {
             let inputs: Vec<Vec<u8>> = lens
                 .iter()
@@ -1128,16 +1128,29 @@ mod tests {
                     seeded_bytes(seed + i as u64, len)
                 })
                 .collect();
-            let want: Vec<u64> = inputs.iter().map(|s| fnv1a64(s)).collect();
             let lanes = fnv1a64_lanes(std::array::from_fn(|i| {
                 inputs.get(i).map_or(&[][..], Vec::as_slice)
             }));
             for (i, lane) in lanes.iter().enumerate() {
-                let want = want.get(i).copied().unwrap_or(FNV_OFFSET);
+                let want = inputs.get(i).map_or(FNV_OFFSET, |s| fnv1a64(s));
                 proptest::prop_assert_eq!(*lane, want, "lane {}", i);
             }
-            let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-            proptest::prop_assert_eq!(fnv1a64_each(&slices), want);
+        }
+
+        /// The striped checksum is its definition, written with serial
+        /// `fnv1a64` over the four quarters, at every length from empty to
+        /// 64 KiB: short inputs whose quarters are empty or shorter than a
+        /// kernel step, and lengths on and off multiples of four and of 32.
+        #[test]
+        fn fnv1a64x4_agrees_with_its_definition(
+            seed in 0u64..1 << 40,
+            kind in 0usize..3,
+            short in 0usize..80,
+            long in 0usize..1 << 16,
+        ) {
+            let len = [short, long, long & !31][kind];
+            let bytes = seeded_bytes(seed, len);
+            proptest::prop_assert_eq!(fnv1a64x4(&bytes), fnv1a64x4_by_definition(&bytes));
         }
     }
 
@@ -1171,12 +1184,16 @@ mod tests {
             .ok_or_else(|| format!("alien {text}")))
     }
 
-    /// Eight records `{"i":0}` to `{"i":7}`: two windows of four.
+    /// Eight records `{"i":0}` to `{"i":7}`, the odd ones as written
+    /// before the striped tag existed.
     fn index_records() -> Vec<Vec<u8>> {
         (0..8)
             .map(|i| {
                 let payload = Value::Object(vec![("i".to_string(), Value::Int(i))]);
-                encode_record("rec", 2, payload).unwrap()
+                match i % 2 {
+                    0 => encode_record("rec", 2, payload).unwrap(),
+                    _ => envelope_frame("rec", 2, &payload, Checksum::Serial),
+                }
             })
             .collect()
     }
@@ -1201,14 +1218,68 @@ mod tests {
         )
     }
 
-    /// Scans `frames` with the four-lane scan and with the serial one,
-    /// asserts they agree, and returns the report.
+    /// Scans `frames` with the scan, which hashes each striped record in
+    /// four lanes, and with the serial one, asserts they agree, and
+    /// returns the report.
     fn scan_both(frames: &[Vec<u8>]) -> Report {
         let stream = frames.concat();
         let got = report(scan_records_with(&stream, "rec", 2, read_index));
         let want = report(serial_scan_with(&stream, "rec", 2, read_index));
         assert_eq!(got, want);
         got
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The scan, which checks each record with the algorithm its tag
+        /// names, agrees with the serial scan, which computes every
+        /// checksum by its definition and compares digits as text, and
+        /// with the full decode: streams of up to eight records of
+        /// payloads of many lengths, under the striped tag, the serial tag
+        /// or in another layout, with up to three bytes changed and cut
+        /// anywhere or not at all.
+        #[test]
+        fn scans_of_either_tag_agree_with_the_serial_scan(
+            records in proptest::collection::vec((0usize..3, 0i64..1 << 40, 0usize..48), 0..8),
+            flips in proptest::collection::vec((0usize..1 << 20, 1u8..=255), 0..3),
+            (cut_at_all, cut) in (0u8..2, 0usize..1 << 20),
+        ) {
+            let mut stream: Vec<u8> = records
+                .iter()
+                .flat_map(|&(layout, i, pad)| {
+                    let payload = Value::Object(vec![
+                        ("i".to_string(), Value::Int(i)),
+                        ("pad".to_string(), Value::String("é-".repeat(pad))),
+                    ]);
+                    match layout {
+                        0 => encode_record("rec", 2, payload).unwrap(),
+                        1 => envelope_frame("rec", 2, &payload, Checksum::Serial),
+                        _ => frame(&encode_document("rec", 2, payload)),
+                    }
+                })
+                .collect();
+            if !stream.is_empty() {
+                for &(at, flip) in &flips {
+                    let at = at % stream.len();
+                    stream[at] ^= flip;
+                }
+            }
+            if cut_at_all == 1 {
+                stream.truncate(cut % (stream.len() + 1));
+            }
+            let got = report(scan_records_with(&stream, "rec", 2, read_index));
+            let want = report(serial_scan_with(&stream, "rec", 2, read_index));
+            proptest::prop_assert_eq!(got, want);
+            let got = scan_records(&stream, "rec", 2);
+            let want = reference_scan(&stream, "rec", 2);
+            proptest::prop_assert_eq!(got.records, want.records);
+            proptest::prop_assert_eq!(got.consumed, want.consumed);
+            proptest::prop_assert_eq!(
+                got.torn.map(|e| e.to_string()),
+                want.torn.map(|e| e.to_string())
+            );
+        }
     }
 
     #[test]
@@ -1290,34 +1361,14 @@ mod tests {
     }
 
     #[test]
-    fn staged_records_seal_to_the_bytes_append_writes() {
-        let payloads = tricky_payloads();
-        let mut appended = Vec::new();
-        let mut staged = Vec::new();
-        let mut unsealed = Vec::new();
-        for payload in &payloads {
-            let text = serde_json::to_string(payload).unwrap();
-            append_record(&mut appended, "rec", 2, |out| {
-                out.extend_from_slice(text.as_bytes())
-            })
-            .unwrap();
-            unsealed.push(
-                stage_record(&mut staged, "rec", 2, |out| {
-                    out.extend_from_slice(text.as_bytes())
-                })
-                .unwrap(),
-            );
-        }
-        assert_ne!(staged, appended, "staged records carry placeholder digits");
-        seal_records(&mut staged, &unsealed);
-        assert_eq!(staged, appended);
-        // An oversized record is refused and leaves the buffer as it was.
-        let before = staged.clone();
-        let err = stage_record(&mut staged, "rec", 2, |out| {
+    fn oversized_records_are_refused_and_leave_the_buffer_as_it_was() {
+        let mut out = encode_record("rec", 2, Value::Null).unwrap();
+        let before = out.clone();
+        let err = append_record(&mut out, "rec", 2, |out| {
             out.resize(out.len() + MAX_RECORD_BYTES, b'0')
         })
         .unwrap_err();
         assert!(err.to_string().contains("frame cap"), "{err}");
-        assert_eq!(staged, before);
+        assert_eq!(out, before);
     }
 }

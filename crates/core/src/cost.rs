@@ -3,11 +3,11 @@
 //! The paper evaluates on wall-clock time on a 32-core Xeon. This
 //! reproduction uses a *deterministic abstract cost* (weighted operation
 //! counts accumulated in a [`Cost`]) as the primary metric so that every
-//! experiment is exactly reproducible, while still able to record wall-clock
-//! time alongside it. See DESIGN.md §4 for the substitution argument.
+//! experiment is exactly reproducible; an [`ExecutionReport`] keeps an
+//! optional wall-clock field beside it. See DESIGN.md §4 for the
+//! substitution argument.
 
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// An accumulator of abstract work units.
 ///
@@ -50,26 +50,6 @@ impl Cost {
     }
 }
 
-/// Wall-clock stopwatch used alongside [`Cost`] when real timing is wanted.
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Nanoseconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-}
-
 /// The outcome of running one configuration on one input.
 ///
 /// `cost` is the deterministic abstract execution time. `accuracy` is the
@@ -102,12 +82,6 @@ impl ExecutionReport {
             accuracy: Some(accuracy),
             time_ns: None,
         }
-    }
-
-    /// Attaches wall-clock time, returning the updated report.
-    pub fn timed(mut self, time_ns: u64) -> Self {
-        self.time_ns = Some(time_ns);
-        self
     }
 
     /// Whether the report meets an accuracy threshold. Fixed-accuracy reports
@@ -143,9 +117,9 @@ mod tests {
         let r = ExecutionReport::of_cost(10.0);
         assert_eq!(r.cost, 10.0);
         assert_eq!(r.accuracy, None);
-        let r = ExecutionReport::with_accuracy(5.0, 0.9).timed(123);
+        let r = ExecutionReport::with_accuracy(5.0, 0.9);
         assert_eq!(r.accuracy, Some(0.9));
-        assert_eq!(r.time_ns, Some(123));
+        assert_eq!(r.time_ns, None);
     }
 
     #[test]
@@ -154,13 +128,5 @@ mod tests {
         assert!(!ExecutionReport::of_cost(1.0).meets(Some(0.9)));
         assert!(ExecutionReport::with_accuracy(1.0, 0.95).meets(Some(0.9)));
         assert!(!ExecutionReport::with_accuracy(1.0, 0.85).meets(Some(0.9)));
-    }
-
-    #[test]
-    fn stopwatch_monotone() {
-        let sw = Stopwatch::start();
-        let a = sw.elapsed_ns();
-        let b = sw.elapsed_ns();
-        assert!(b >= a);
     }
 }

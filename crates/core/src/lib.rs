@@ -58,7 +58,7 @@ pub use benchmark::{AccuracySpec, Benchmark, BenchmarkExt};
 pub use config::{
     ConfigSpace, ConfigSpaceBuilder, Configuration, ParamKind, ParamSpec, ParamValue,
 };
-pub use cost::{Cost, ExecutionReport, Stopwatch};
+pub use cost::{Cost, ExecutionReport};
 pub use error::{Error, Result};
 pub use features::{FeatureDef, FeatureId, FeatureSample, FeatureSet, FeatureVector};
 pub use selector::{Selector, SelectorSpec};

@@ -1,7 +1,8 @@
-//! The blocking `intune-wire/2` client.
+//! The blocking `intune-wire/3` client.
 //!
 //! One connection, one request in flight: every call sends a frame and
-//! blocks for the matching response. The connection keeps a persistent
+//! blocks for the matching response. Frames go out in wire/3, which a
+//! daemon from before wire/3 refuses: upgrade daemons before clients. The connection keeps a persistent
 //! [`protocol::FrameReader`], so response payloads land in one reusable
 //! buffer instead of a fresh allocation per frame. The client implements
 //! [`SelectionBackend`], so `table1 --daemon ADDR` can score a running

@@ -6,17 +6,18 @@
 //! PR 3 drew the train/deploy boundary (a persisted, checksummed
 //! [`intune_serve::ModelArtifact`]); this crate puts a server in front of
 //! it. A [`Daemon`] loads an artifact, listens on TCP (plus a Unix-domain
-//! socket on unix), and speaks **`intune-wire/2`** — a binary-header
+//! socket on unix), and speaks **`intune-wire/3`** — a binary-header
 //! framed protocol carrying one compact JSON message per frame, with the
 //! payload checksum in the header so neither side re-serializes to
 //! verify (see [`protocol`] and `crates/daemon/README.md` for the frame
-//! layout). Clients ship fully-extracted feature vectors; the daemon
-//! answers landmark selections computed by a benchmark-free
-//! [`intune_serve::VectorService`] — bit-identical to in-process
-//! selection, which `table1 --daemon` + CI prove end to end. The primary
-//! service sits behind a lock-free pointer, so selection reads are
-//! wait-free and a promotion (or a crashed handler) can never stall or
-//! poison them.
+//! layout). It still serves `intune-wire/2` clients, answering each
+//! frame in the version it arrived in. Clients ship fully-extracted
+//! feature vectors; the daemon answers landmark selections computed by a
+//! benchmark-free [`intune_serve::VectorService`] — bit-identical to
+//! in-process selection, which `table1 --daemon` + CI prove end to end.
+//! The primary service sits behind a lock-free pointer, so selection
+//! reads are wait-free and a promotion (or a crashed handler) can never
+//! stall or poison them.
 //!
 //! Model lifecycle over the wire:
 //!
@@ -366,6 +367,164 @@ mod tests {
         // The disconnect cost the slow reader and nobody else.
         let ok = client.select_batch(&[vector(1.0)]).unwrap();
         assert_eq!(ok.len(), 1);
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// Reads one whole frame, header included, off a blocking stream.
+    fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
+        use std::io::Read as _;
+        let mut frame = vec![0; protocol::HEADER_BYTES];
+        stream.read_exact(&mut frame).unwrap();
+        let len = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
+        frame.resize(protocol::HEADER_BYTES + len, 0);
+        stream
+            .read_exact(&mut frame[protocol::HEADER_BYTES..])
+            .unwrap();
+        frame
+    }
+
+    #[test]
+    fn each_reply_comes_back_in_its_request_wire_version() {
+        use std::io::Write as _;
+        let (handle, client) = start(DaemonOptions::default());
+        let mut raw = std::net::TcpStream::connect(handle.addr.to_string()).unwrap();
+        let hello = protocol::encode_message(&Request::Hello {
+            client: "mixed".to_string(),
+            benchmark: String::new(),
+        });
+        let batch: Vec<FeatureVector> = (0..6).map(|i| vector(i as f64 * 1.5)).collect();
+        let select = protocol::encode_select_batch(&batch);
+        let mut selections = None;
+        for (i, version) in [2u8, 3, 2, 2, 3, 3, 2].into_iter().enumerate() {
+            let request = if i == 0 { &hello } else { &select };
+            raw.write_all(&protocol::encode_frame_in(version, request).unwrap())
+                .unwrap();
+            let reply = read_raw_frame(&mut raw);
+            let payload = std::str::from_utf8(&reply[protocol::HEADER_BYTES..]).unwrap();
+            assert_eq!(reply[4], version, "frame {i}");
+            assert_eq!(
+                reply,
+                protocol::encode_frame_in(version, payload).unwrap(),
+                "frame {i} is framed as its version frames it"
+            );
+            let response: Response = protocol::decode_message(payload).unwrap();
+            if i == 0 {
+                assert!(
+                    matches!(response, Response::HelloAck { .. }),
+                    "{response:?}"
+                );
+                continue;
+            }
+            // The payload does not depend on the version.
+            let Response::Selections { .. } = response else {
+                panic!("expected selections, got {response:?}");
+            };
+            assert_eq!(
+                selections.get_or_insert_with(|| payload.to_string()),
+                payload
+            );
+        }
+        let want = Response::Selections {
+            selections: client.select_batch(&batch).unwrap(),
+        };
+        assert_eq!(selections.unwrap(), protocol::encode_message(&want));
+
+        // A wire/2 byte over a wire/3 checksum: the typed checksum
+        // refusal, in wire/2, then an orderly close.
+        let mut forged = protocol::encode_frame_in(3, &select).unwrap();
+        forged[4] = 2;
+        raw.write_all(&forged).unwrap();
+        let reply = read_raw_frame(&mut raw);
+        assert_eq!(reply[4], 2);
+        let payload = std::str::from_utf8(&reply[protocol::HEADER_BYTES..]).unwrap();
+        match protocol::decode_message::<Response>(payload).unwrap() {
+            Response::Error { detail } => assert!(detail.contains("checksum"), "{detail}"),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        let mut reader = protocol::FrameReader::new();
+        assert!(matches!(reader.recv::<_, Response>(&mut raw), Ok(None)));
+
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_stalled_partial_frame_holds_up_no_other_connection() {
+        use std::io::{Read as _, Write as _};
+        let (handle, client) = start(DaemonOptions::default());
+        let addr = handle.addr.to_string();
+        let batch: Vec<FeatureVector> = (0..4).map(|i| vector(i as f64 * 2.5)).collect();
+        let frame = protocol::encode_frame(&protocol::encode_select_batch(&batch)).unwrap();
+        let half = protocol::HEADER_BYTES + (frame.len() - protocol::HEADER_BYTES) / 2;
+
+        // A slow loris: bound, then a wire/3 header and half its payload.
+        let mut loris = std::net::TcpStream::connect(&addr).unwrap();
+        let mut loris_reader = protocol::FrameReader::new();
+        protocol::send(
+            &mut loris,
+            &Request::Hello {
+                client: "loris".to_string(),
+                benchmark: String::new(),
+            },
+        )
+        .unwrap();
+        let reply = loris_reader.recv::<_, Response>(&mut loris).unwrap();
+        assert!(
+            matches!(reply, Some(Response::HelloAck { .. })),
+            "{reply:?}"
+        );
+        loris.write_all(&frame[..half]).unwrap();
+
+        // Another connection is answered while the loris stalls.
+        let answered = client.select_batch(&batch).unwrap();
+        assert_eq!(answered.len(), 4);
+
+        // A third connection closes its side mid-frame: it is told why,
+        // then closed; a blocking read sees both, in order.
+        let mut quitter = std::net::TcpStream::connect(&addr).unwrap();
+        quitter.write_all(&frame[..half]).unwrap();
+        quitter.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut quitter_reader = protocol::FrameReader::new();
+        match quitter_reader.recv::<_, Response>(&mut quitter) {
+            Ok(Some(Response::Error { detail })) => {
+                assert!(detail.contains("mid-frame"), "{detail}")
+            }
+            other => panic!("expected a typed mid-frame error, got {other:?}"),
+        }
+        assert!(matches!(
+            quitter_reader.recv::<_, Response>(&mut quitter),
+            Ok(None)
+        ));
+        drop(quitter);
+
+        // Nothing was sent to the loris for its half frame; completing it
+        // gets the answer the other connection got.
+        loris.set_nonblocking(true).unwrap();
+        let err = loris.read(&mut [0; 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        loris.set_nonblocking(false).unwrap();
+        loris.write_all(&frame[half..]).unwrap();
+        let reply = loris_reader.recv::<_, Response>(&mut loris).unwrap();
+        assert_eq!(
+            reply,
+            Some(Response::Selections {
+                selections: answered.clone()
+            })
+        );
+
+        // Both survivors are still served.
+        loris.write_all(&frame).unwrap();
+        let reply = loris_reader.recv::<_, Response>(&mut loris).unwrap();
+        assert!(
+            matches!(reply, Some(Response::Selections { .. })),
+            "{reply:?}"
+        );
+        assert_eq!(client.select_batch(&batch).unwrap(), answered);
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.connections, 3);
+        assert_eq!(stats.primary.requests, 16);
+
         client.shutdown().unwrap();
         handle.join().unwrap();
     }

@@ -1037,6 +1037,12 @@ impl Conn {
         self.outbox.push_back(frame);
     }
 
+    /// Frames a reply in the wire version of the request at hand, so
+    /// every client reads its replies in the version it speaks.
+    fn frame(&self, response: &Response) -> Result<Vec<u8>> {
+        protocol::encode_frame_in(self.reader.version(), &protocol::encode_message(response))
+    }
+
     /// Queues a reply, enforcing the outbound cap: a reply that would
     /// overflow it is replaced by a typed error and the connection
     /// enters its closing sequence — the slow reader gets told why.
@@ -1049,7 +1055,7 @@ impl Conn {
             return 0;
         }
         let encode_start = Instant::now();
-        let frame = match protocol::encode_frame(&protocol::encode_message(response)) {
+        let frame = match self.frame(response) {
             Ok(frame) => frame,
             Err(e) => {
                 self.fail(e.to_string());
@@ -1078,9 +1084,7 @@ impl Conn {
         if self.closing {
             return;
         }
-        if let Ok(frame) =
-            protocol::encode_frame(&protocol::encode_message(&Response::Error { detail }))
-        {
+        if let Ok(frame) = self.frame(&Response::Error { detail }) {
             self.push(frame);
         }
         self.closing = true;

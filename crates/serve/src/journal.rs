@@ -492,12 +492,17 @@ mod tests {
     }
 
     /// A frame around `text` in the writer's layout with a correct
-    /// checksum, whatever `text` is.
-    fn sealed(text: &str) -> Vec<u8> {
+    /// checksum, whatever `text` is: the striped one the writer writes,
+    /// or with `serial` the one it wrote before the striped tag.
+    fn sealed(text: &str, serial: bool) -> Vec<u8> {
+        let (tag, checksum) = if serial {
+            ("fnv1a64", codec::fnv1a64(text.as_bytes()))
+        } else {
+            ("fnv1a64x4", codec::fnv1a64x4(text.as_bytes()))
+        };
         let body = format!(
             "{{\"schema\":\"{JOURNAL_SCHEMA}\",\"version\":{JOURNAL_VERSION},\
-             \"checksum\":\"fnv1a64:{:016x}\",\"payload\":{text}}}",
-            codec::fnv1a64(text.as_bytes())
+             \"checksum\":\"{tag}:{checksum:016x}\",\"payload\":{text}}}"
         );
         let mut frame = (body.len() as u32).to_be_bytes().to_vec();
         frame.extend_from_slice(body.as_bytes());
@@ -632,7 +637,8 @@ mod tests {
         /// the same torn-tail error — whether the segment is cut at any
         /// offset, bit-flipped (which the checksum catches), or carries a
         /// record whose JSON was mutated and re-sealed with a correct
-        /// checksum (which only the grammar catches).
+        /// checksum (which only the grammar catches), under either
+        /// checksum tag.
         #[test]
         fn lazy_scan_agrees_with_the_full_parse(
             specs in prop::collection::vec((0usize..6, -1e3f64..1e3, 0u64..3), 1..4),
@@ -641,6 +647,7 @@ mod tests {
                 (
                     0usize..8,
                     0u8..4,
+                    0u8..2,
                     prop::collection::vec((0u8..4, 0usize..1 << 16, 0usize..64, 0u32..7), 1..4),
                 ),
                 6,
@@ -665,7 +672,7 @@ mod tests {
             // Re-sealing reproduces the writer's bytes, so a re-sealed
             // record reaches the lazy path, not the fallback.
             for (r, frame) in records.iter().zip(&frames) {
-                prop_assert_eq!(&sealed(&record_text(r)), frame);
+                prop_assert_eq!(&sealed(&record_text(r), false), frame);
             }
             let stream = frames.concat();
             let intact = scan_segment(Path::new("intact"), &stream);
@@ -680,7 +687,7 @@ mod tests {
                 flipped[at] ^= 1 << bit;
                 same_scan(&flipped, &format!("bit {bit} of byte {at} flipped"))?;
             }
-            for (which, region, mutations) in resealed {
+            for (which, region, serial, mutations) in resealed {
                 let i = which % records.len();
                 let mut text = record_text(&records[i]).into_bytes();
                 for m in mutations {
@@ -688,7 +695,7 @@ mod tests {
                 }
                 let text = String::from_utf8(text).expect("mutations keep the text UTF-8");
                 let mut frames = frames.clone();
-                frames[i] = sealed(&text);
+                frames[i] = sealed(&text, serial == 1);
                 same_scan(&frames.concat(), &format!("record {i} re-sealed as {text}"))?;
             }
         }

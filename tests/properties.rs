@@ -2,8 +2,10 @@
 //! workspace: the request journal, the wire recording, the event log and
 //! the span log, all written through `intune_core::applog`.
 //!
-//! Each case writes N records, cuts the file a crash would tear (the
-//! active segment, or the single file) at any offset, and requires:
+//! Each case writes N records, under the striped checksum tag the logs
+//! write (`fnv1a64x4:`) or rewritten to the serial tag they wrote before
+//! it (`fnv1a64:`), cuts the file a crash would tear (the active segment,
+//! or the single file) at any offset, and requires:
 //! the read keeps exactly the complete prefix, bit for bit, with
 //! `consumed` at its end, and types a torn tail exactly when the cut
 //! splits a record; a reopen seals a damaged or full segment and starts a
@@ -11,7 +13,7 @@
 //! and one more append resumes `seq` after the last complete record.
 
 use intune_core::applog;
-use intune_core::codec::RecordScan;
+use intune_core::codec::{self, RecordScan};
 use intune_core::{Error, FeatureDef, FeatureId, FeatureSample, FeatureVector, TraceContext};
 use intune_datalog::{FrameBody, RecordedFrame, RecordingOptions, RecordingWriter};
 use intune_obs::{read_events, read_spans, Event, EventKind, EventLog, Span, SpanLog};
@@ -261,11 +263,43 @@ fn boundaries(bytes: &[u8]) -> Vec<usize> {
     ends
 }
 
-/// One case: `(n, per_segment, on_frame, cut_sel, seed)`.
-fn case() -> impl Strategy<Value = (usize, usize, bool, usize, u64)> {
-    (1usize..10, 1usize..12, 0u8..2, 0usize..1 << 20, 0u64..1000).prop_map(
-        |(n, per_segment, on_frame, cut, seed)| (n, per_segment, on_frame == 1, cut, seed),
+/// `bytes` with every record's checksum rewritten to the serial tag, as
+/// the logs wrote their records before the striped one.
+fn serial_tagged(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let body = std::str::from_utf8(&bytes[at + 4..at + 4 + len]).unwrap();
+        let (head, rest) = body.split_once("\"checksum\":\"fnv1a64x4:").unwrap();
+        let payload = rest[16..]
+            .strip_prefix("\",\"payload\":")
+            .and_then(|p| p.strip_suffix('}'))
+            .unwrap();
+        let body = format!(
+            "{head}\"checksum\":\"fnv1a64:{:016x}\",\"payload\":{payload}}}",
+            codec::fnv1a64(payload.as_bytes())
+        );
+        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        out.extend_from_slice(body.as_bytes());
+        at += 4 + len;
+    }
+    out
+}
+
+/// One case: `(n, per_segment, on_frame, cut_sel, seed, serial)`.
+fn case() -> impl Strategy<Value = (usize, usize, bool, usize, u64, bool)> {
+    (
+        1usize..10,
+        1usize..12,
+        0u8..2,
+        0usize..1 << 20,
+        0u64..1000,
+        0u8..2,
     )
+        .prop_map(|(n, per_segment, on_frame, cut, seed, serial)| {
+            (n, per_segment, on_frame == 1, cut, seed, serial == 1)
+        })
 }
 
 fn fresh_dir(log: &str) -> intune_core::TempDir {
@@ -275,11 +309,13 @@ fn fresh_dir(log: &str) -> intune_core::TempDir {
 }
 
 /// The property for log `L`: `n` records at `per_segment` per segment,
-/// drawn from `seed`, the active file cut at a frame boundary when
-/// `on_frame` (else anywhere) picked by `cut_sel`.
+/// drawn from `seed` and rewritten to the serial tag when `serial`, the
+/// active file cut at a frame boundary when `on_frame` (else anywhere)
+/// picked by `cut_sel`. The reopened log appends under the striped tag,
+/// so a serial case ends with both tags in one file.
 fn crash_tolerance<L: Log>(
     name: &str,
-    (n, per_segment, on_frame, cut_sel, seed): (usize, usize, bool, usize, u64),
+    (n, per_segment, on_frame, cut_sel, seed, serial): (usize, usize, bool, usize, u64, bool),
 ) -> Result<(), TestCaseError> {
     let dir = fresh_dir(name);
     let at = if L::SEGMENTED {
@@ -294,6 +330,20 @@ fn crash_tolerance<L: Log>(
     }
     let (written, torn) = L::load(&at);
     prop_assert_eq!(torn, 0);
+    if serial {
+        for file in &files {
+            let bytes = std::fs::read(file).unwrap();
+            std::fs::write(file, serial_tagged(&bytes)).unwrap();
+        }
+        let (retagged, torn) = L::load(&at);
+        prop_assert_eq!(torn, 0);
+        prop_assert_eq!(
+            &retagged,
+            &written,
+            "{}: both tags read the same records",
+            name
+        );
+    }
     prop_assert_eq!(written.len(), n, "{}: records written", name);
     for (i, record) in written.iter().enumerate() {
         if let Some(seq) = L::seq(record) {
