@@ -76,7 +76,7 @@ mod tests {
     /// A small hand-built artifact (no training pipeline needed): a
     /// 2-landmark tree model over one 2-level property plus a 1-level
     /// property, routing feature `a@1 < 5` to landmark 0, else 1.
-    fn artifact(revision: u64) -> ModelArtifact {
+    pub(crate) fn artifact(revision: u64) -> ModelArtifact {
         let space = ConfigSpace::builder().switch("alg", 2).build();
         let defs = vec![FeatureDef::new("a", 2), FeatureDef::new("b", 1)];
         let rows: Vec<Vec<f64>> = (0..8)
@@ -110,7 +110,7 @@ mod tests {
     }
 
     /// A fully-extracted vector whose `a@1` value is `x`.
-    fn vector(x: f64) -> FeatureVector {
+    pub(crate) fn vector(x: f64) -> FeatureVector {
         let defs = [FeatureDef::new("a", 2), FeatureDef::new("b", 1)];
         let mut fv = FeatureVector::empty(&defs);
         fv.insert(
@@ -1128,10 +1128,11 @@ mod tests {
         assert!(tenant.latency.p50_ns > 0);
         assert!(tenant.latency.max_ns >= tenant.latency.p999_ns);
 
-        // Stage histograms: two select frames were decoded, selected,
-        // encoded, and flushed (plus the handshake/metrics control
-        // frames on decode/encode).
+        // Stage histograms: two select frames were read, decoded,
+        // selected, encoded, and flushed (plus the handshake/metrics
+        // control frames on read/decode/encode).
         assert_eq!(metrics.stages.select.count, 2);
+        assert!(metrics.stages.read.count >= 2);
         assert!(metrics.stages.decode.count >= 2);
         assert!(metrics.stages.encode.count >= 2);
         assert!(metrics.stages.queued_write.count >= 2);
@@ -1202,10 +1203,10 @@ mod tests {
             body.contains("intune_request_seconds{tenant=\"alpha\",quantile=\"0.99\"}"),
             "{body}"
         );
-        assert!(
-            body.contains("intune_stage_seconds{stage=\"select\",quantile=\"0.5\"}"),
-            "{body}"
-        );
+        for stage in ["read", "select"] {
+            let series = format!("intune_stage_seconds{{stage=\"{stage}\",quantile=\"0.5\"}}");
+            assert!(body.contains(&series), "{body}");
+        }
         assert!(body.contains("intune_tenants 2"), "{body}");
 
         alpha.shutdown().unwrap();

@@ -35,6 +35,16 @@
 //! so a wire/2 client gets the bytes it always got. A daemon from before
 //! wire/3 refuses a wire/3 frame: upgrade daemons before clients.
 //!
+//! The daemon's selection path builds no JSON value tree in either
+//! direction. [`decode_select_batch`] scans a canonical `SelectBatch`
+//! payload and reads its numbers through the `serde_json` shim's typed
+//! readers ([`serde_json::f64_prefix`], [`serde_json::u64_prefix`]), which
+//! share the parser's lexer and converter but return the number itself. A
+//! `Selections` reply is printed straight into the connection's output
+//! buffer, its floats through the shim's float printer
+//! ([`serde_json::push_float`]), and framed there over the printed bytes:
+//! byte for byte the derive's encoding in the request's wire version.
+//!
 //! Every request gets exactly one response on the same connection, in
 //! order. Receivers hold a persistent [`FrameReader`] per connection:
 //! payloads land in its reusable buffer (decoded by borrowing, never
@@ -271,6 +281,10 @@ pub struct DaemonStats {
 /// that stage (stages are per-loop, not per-tenant — the loop is shared).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageTimings {
+    /// Socket reads: one nonblocking read of a connection's bytes into
+    /// its frame reader each (the last one of a readiness event finds
+    /// nothing). Reassembly's reads, outside `decode`.
+    pub read: LatencySummary,
     /// Frame decode: checksum + payload parse into a [`Request`].
     pub decode: LatencySummary,
     /// Request handling: selection (or lifecycle work) producing the
@@ -283,9 +297,13 @@ pub struct StageTimings {
     /// Inside `select`: mirroring the batch to the staged shadow (frames
     /// of tenants without a shadow are not counted).
     pub mirror: LatencySummary,
-    /// Reply encode: message serialization + frame assembly.
+    /// Reply encode: printing the reply and its frame into the
+    /// connection's output buffer.
     pub encode: LatencySummary,
-    /// Queued write: draining the connection's outbox to the socket.
+    /// Queued write: one flush of the connection's output buffer, all of
+    /// its unsent bytes in one `write` (more only after a partial write),
+    /// so one count covers the replies to every frame a readiness event
+    /// read.
     pub queued_write: LatencySummary,
 }
 
@@ -416,13 +434,14 @@ pub fn decode_message<T: Deserialize>(text: &str) -> Result<T> {
 /// hand-written client): callers **must** fall back to
 /// [`decode_message`], so coverage here is an optimization, never a
 /// compatibility statement. Numbers go through the generic parser's own
-/// number reader ([`serde_json::number_prefix`]), so both routes yield
-/// bit-identical vectors because they share the code (a unit test pins
-/// this).
+/// lexer and converter by its typed readers ([`serde_json::f64_prefix`],
+/// [`serde_json::u64_prefix`]), which return the number rather than a
+/// `Value`, so both routes yield bit-identical vectors because they share
+/// the code (a unit test pins this).
 pub fn decode_select_batch(payload: &str) -> Option<Vec<FeatureVector>> {
     let mut scan = Scan::new(payload);
     scan.tag(b"{\"SelectBatch\":{\"features\":[")?;
-    let features = scan.items(Scan::vector)?;
+    let features = scan.vectors()?;
     scan.tag(b"}}")?;
     scan.end().then_some(features)
 }
@@ -454,9 +473,9 @@ pub struct Batch<'a> {
 pub fn decode_select_batch_traced(payload: &str) -> Option<Batch<'_>> {
     let mut scan = Scan::new(payload);
     scan.tag(b"{\"SelectBatchTraced\":{\"features\":[")?;
-    let features = scan.items(Scan::vector)?;
+    let features = scan.vectors()?;
     scan.tag(b",\"payloads\":[")?;
-    let payloads = scan.items(|s| {
+    let payloads = scan.items(0, |s| {
         // A payload sits three containers deep in the frame.
         let text = serde_json::canonical_prefix(&s.text[s.at..], 3)?;
         s.at += text.len();
@@ -538,13 +557,12 @@ impl<'a> Scan<'a> {
         self.at == self.bytes.len()
     }
 
-    fn tag(&mut self, expected: &[u8]) -> Option<()> {
-        if self.bytes[self.at..].starts_with(expected) {
-            self.at += expected.len();
-            Some(())
-        } else {
-            None
-        }
+    /// Reads `expected` if the text goes on with it. A const-size tag
+    /// compares as a few words, not byte by byte.
+    #[inline]
+    fn tag<const N: usize>(&mut self, expected: &[u8; N]) -> Option<()> {
+        let at = self.at;
+        (self.bytes.get(at..at + N)? == expected).then(|| self.at = at + N)
     }
 
     fn eat(&mut self, byte: u8) -> bool {
@@ -556,9 +574,15 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// The items of a list whose `[` has been read, through its `]`.
-    fn items<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
-        let mut items = Vec::new();
+    /// The items of a list whose `[` has been read, through its `]`,
+    /// room made for `expected` of them.
+    #[inline]
+    fn items<T>(
+        &mut self,
+        expected: usize,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let mut items = Vec::with_capacity(expected);
         if !self.eat(b']') {
             loop {
                 items.push(item(self)?);
@@ -571,29 +595,38 @@ impl<'a> Scan<'a> {
         Some(items)
     }
 
-    /// One JSON number, read by the parser's own number reader
-    /// ([`serde_json::number_prefix`]) and converted as the derive
-    /// converts it: an integer through `i64`/`u64`, so `-0` is `0.0` on
-    /// both routes. A literal the parser refuses, one past `f64::MAX`
-    /// among them, is refused here too.
+    /// One JSON number, read as the derive reads an `f64`: by the
+    /// parser's typed reader ([`serde_json::f64_prefix`]), an integer
+    /// through `i64`/`u64`, so `-0` is `0.0` on both routes. A literal
+    /// the parser refuses, one past `f64::MAX` among them, is refused
+    /// here too.
+    #[inline]
     fn number(&mut self) -> Option<f64> {
-        self.literal()?.as_f64()
-    }
-
-    /// A non-negative JSON integer, as the derive reads it.
-    fn integer<T: TryFrom<u64>>(&mut self) -> Option<T> {
-        T::try_from(self.literal()?.as_u64()?).ok()
-    }
-
-    fn literal(&mut self) -> Option<serde_json::Value> {
-        let (value, len) = serde_json::number_prefix(&self.text[self.at..])?;
+        let (f, len) = serde_json::f64_prefix(&self.text[self.at..])?;
         self.at += len;
-        Some(value)
+        Some(f)
     }
 
-    fn vector(&mut self) -> Option<FeatureVector> {
+    /// A non-negative JSON integer, as the derive reads it (`-0` is 0).
+    #[inline]
+    fn integer<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        let (u, len) = serde_json::u64_prefix(&self.text[self.at..])?;
+        self.at += len;
+        T::try_from(u).ok()
+    }
+
+    /// The vectors of a list whose `[` has been read, through its `]`.
+    /// Vectors of one batch share a feature declaration, so each one's
+    /// slots and offsets get the room the vector before it took.
+    fn vectors(&mut self) -> Option<Vec<FeatureVector>> {
+        let mut room = (0, 0);
+        self.items(0, |s| s.vector(&mut room))
+    }
+
+    /// One vector, its lists sized by `room`, which it then updates.
+    fn vector(&mut self, room: &mut (usize, usize)) -> Option<FeatureVector> {
         self.tag(b"{\"slots\":[")?;
-        let slots = self.items(|s| {
+        let slots = self.items(room.0, |s| {
             if s.tag(b"null").is_some() {
                 return Some(None);
             }
@@ -605,8 +638,9 @@ impl<'a> Scan<'a> {
             Some(Some(intune_core::FeatureSample { value, cost }))
         })?;
         self.tag(b",\"offsets\":[")?;
-        let offsets = self.items(Scan::integer)?;
+        let offsets = self.items(room.1, Scan::integer)?;
         self.tag(b"}")?;
+        *room = (slots.len(), offsets.len());
         Some(FeatureVector::from_wire_parts(slots, offsets))
     }
 
@@ -657,21 +691,89 @@ pub fn encode_frame(payload: &str) -> Result<Vec<u8>> {
 /// Returns [`Error::Wire`] for an oversized payload or a version this
 /// build does not speak.
 pub(crate) fn encode_frame_in(version: u8, payload: &str) -> Result<Vec<u8>> {
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME_BYTES {
+    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame_into(version, &mut frame, |out| {
+        out.extend_from_slice(payload.as_bytes())
+    })?;
+    Ok(frame)
+}
+
+/// Appends one frame in wire version `version`, 2 or 3, to `out`: a
+/// header, then the payload `print` appends after it, then the header
+/// filled in with the payload's length and its version's checksum over
+/// the bytes in place. On an error nothing is left appended.
+///
+/// # Errors
+/// Returns [`Error::Wire`] for an oversized payload or a version this
+/// build does not speak.
+fn frame_into(version: u8, out: &mut Vec<u8>, print: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    if frame_checksum(version, &[]).is_none() {
         return Err(Error::wire(format!(
-            "frame payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-            bytes.len()
+            "this build does not speak wire version {version}"
         )));
     }
-    let checksum = frame_checksum(version, bytes)
-        .ok_or_else(|| Error::wire(format!("this build does not speak wire version {version}")))?;
-    let mut frame = Vec::with_capacity(HEADER_BYTES + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.push(version);
-    frame.extend_from_slice(&checksum.to_be_bytes());
-    frame.extend_from_slice(bytes);
-    Ok(frame)
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_BYTES]);
+    print(out);
+    let len = out.len() - start - HEADER_BYTES;
+    if len > MAX_FRAME_BYTES {
+        out.truncate(start);
+        return Err(Error::wire(format!(
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )));
+    }
+    let (header, payload) = out[start..].split_at_mut(HEADER_BYTES);
+    let checksum = frame_checksum(version, payload).expect("a version checked above");
+    header[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    header[4] = version;
+    header[5..].copy_from_slice(&checksum.to_be_bytes());
+    Ok(())
+}
+
+/// Appends `response` to `out` as one frame in wire version `version`: a
+/// `Selections` reply printed in place by [`print_selections`], any other
+/// reply through [`encode_message`]. The bytes are those of
+/// `encode_frame_in(version, &encode_message(response))`.
+///
+/// # Errors
+/// As [`frame_into`]; nothing is left appended.
+pub(crate) fn frame_response_into(
+    version: u8,
+    response: &Response,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    match response {
+        Response::Selections { selections } => {
+            frame_into(version, out, |out| print_selections(selections, out))
+        }
+        other => frame_into(version, out, |out| {
+            out.extend_from_slice(encode_message(other).as_bytes())
+        }),
+    }
+}
+
+/// Appends the payload of a `Selections` reply to `out`, byte-identical
+/// to `encode_message(&Response::Selections { selections })`: the
+/// derive's external tagging and field order, each `extraction_cost`
+/// through the JSON printer's own float printer ([`serde_json::push_float`]:
+/// shortest digits, `-0.0`, the non-finite names as strings). No `Value`
+/// is built (a property test pins the equivalence).
+fn print_selections(selections: &[Selection], out: &mut Vec<u8>) {
+    out.reserve(32 + 96 * selections.len());
+    out.extend_from_slice(b"{\"Selections\":{\"selections\":[");
+    for (i, s) in selections.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        let _ = write!(out, "{{\"landmark\":{},\"extraction_cost\":", s.landmark);
+        serde_json::push_float(s.extraction_cost, out);
+        let _ = write!(
+            out,
+            ",\"out_of_distribution\":{},\"fell_back\":{}}}",
+            s.out_of_distribution, s.fell_back
+        );
+    }
+    out.extend_from_slice(b"]}}");
 }
 
 /// Writes one wire/3 frame (one buffered write + flush).
@@ -1235,13 +1337,36 @@ mod tests {
             .unwrap();
         // Spellings the printer never emits decode identically too:
         // integral text converts through `i64`/`u64` on both routes, so
-        // `-0` is +0.0 on both.
+        // `-0` is +0.0 on both (and an offset of `-0` is 0); significands
+        // of 19 digits and more, cut where they run past 19; integers
+        // past `i64` and `u64`; exponents; subnormals; `f64::MAX`.
         let canonical = encode_select_batch(&[vector()]);
-        let spellings = ["-0", "7", "18446744073709551616", "1e300", "2.5E-3"];
+        let spellings = [
+            "-0",
+            "-0.0",
+            "7",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1234567890123456789",
+            "12345678901234567890123",
+            "0.30000000000000000000000001",
+            "2.2250738585072011e-308",
+            "4.9e-324",
+            "1.7976931348623157e308",
+            "1e300",
+            "1E+22",
+            "2.5E-3",
+            "-12.375e+7",
+        ];
         let payloads = [
             encode_select_batch(&[]),
             encode_select_batch(&[FeatureVector::empty(&[])]),
             encode_select_batch(&[vector(), tricky, vector()]),
+            canonical.replace("[0,2]", "[-0,2]"),
         ]
         .into_iter()
         .chain(spellings.map(|spelling| canonical.replace("3.0", spelling)));
@@ -1258,6 +1383,114 @@ mod tests {
             // text means equal bits (`PartialEq` treats -0.0 == 0.0).
             assert_eq!(format!("{fast:?}"), format!("{generic:?}"), "{payload}");
         }
+    }
+
+    #[test]
+    fn vectors_of_other_shapes_in_one_batch_decode_as_the_parser_reads_them() {
+        // Each vector's lists are sized from the one before it: a batch
+        // whose vectors grow, shrink and empty out reads the same.
+        let wide = |n: usize| {
+            let defs: Vec<FeatureDef> = (0..n).map(|i| FeatureDef::new("p", 1 + i % 3)).collect();
+            FeatureVector::empty(&defs)
+        };
+        let batch = vec![
+            wide(1),
+            vector(),
+            wide(9),
+            FeatureVector::empty(&[]),
+            wide(2),
+        ];
+        let payload = encode_select_batch(&batch);
+        assert_eq!(decode_select_batch(&payload), Some(batch));
+    }
+
+    /// A selection's `extraction_cost` from the floats where printing
+    /// goes wrong first: the non-finite values, signed zeros,
+    /// subnormals, integers past 2^53 and around 2^63, `f64::MAX`, and
+    /// arbitrary bit patterns.
+    fn edge_cost(kind: usize, bits: u64) -> f64 {
+        match kind {
+            0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][bits as usize % 3],
+            1 => [0.0, -0.0][bits as usize % 2],
+            2 => f64::from_bits(bits % (1 << 52)),
+            3 => 9_007_199_254_740_992.0 + (bits % 4096) as f64 * 2.0,
+            4 => [
+                2f64.powi(63),
+                2f64.powi(64),
+                1e21,
+                1e22,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+                5e-324,
+            ][bits as usize % 7],
+            5 => -f64::from_bits(bits >> 2),
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The `Selections` printer frames a reply byte for byte as the
+        /// derive-encoded payload framed by `encode_frame_in` does, in
+        /// either wire version, appended after bytes already buffered:
+        /// landmarks up to `usize::MAX`, every edge of the float printer,
+        /// both flags, up to 80 selections.
+        #[test]
+        fn selections_print_frames_as_the_derive(
+            picks in proptest::collection::vec(
+                (0usize..=8, 0u64..=u64::MAX, 0usize..8, 0u8..4),
+                0..80,
+            ),
+        ) {
+            let selections: Vec<Selection> = picks
+                .iter()
+                .map(|&(landmark, bits, kind, flags)| Selection {
+                    landmark: match landmark {
+                        0..=6 => [0, 1, 9, 10, 99, 65_536, usize::MAX][landmark],
+                        _ => bits as usize,
+                    },
+                    extraction_cost: edge_cost(kind, bits),
+                    out_of_distribution: flags & 1 == 1,
+                    fell_back: flags & 2 == 2,
+                })
+                .collect();
+            let response = Response::Selections { selections };
+            let payload = encode_message(&response);
+            for version in [2, 3] {
+                let mut out = b"earlier frames".to_vec();
+                frame_response_into(version, &response, &mut out).unwrap();
+                let expected = encode_frame_in(version, &payload).unwrap();
+                proptest::prop_assert_eq!(&out[..14], b"earlier frames");
+                proptest::prop_assert_eq!(&out[14..], &expected[..], "{}", payload);
+            }
+        }
+    }
+
+    #[test]
+    fn every_other_reply_frames_as_its_encoded_message() {
+        for response in [
+            Response::ShuttingDown,
+            Response::Error {
+                detail: "a \"quoted\" detail".into(),
+            },
+            Response::Promoted { revision: 7 },
+            Response::Selections { selections: vec![] },
+        ] {
+            for version in [2, 3] {
+                let mut out = Vec::new();
+                frame_response_into(version, &response, &mut out).unwrap();
+                assert_eq!(
+                    out,
+                    encode_frame_in(version, &encode_message(&response)).unwrap()
+                );
+            }
+        }
+        // A version this build does not speak leaves nothing behind.
+        let mut out = b"kept".to_vec();
+        let err = frame_response_into(4, &Response::ShuttingDown, &mut out).unwrap_err();
+        assert!(err.to_string().contains("version"), "{err}");
+        assert_eq!(out, b"kept");
     }
 
     #[test]

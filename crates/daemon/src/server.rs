@@ -4,12 +4,15 @@
 //! tenant: a [`mio::Poll`] watches the listeners plus all connected
 //! sockets, and each connection is a small state machine — a persistent
 //! [`protocol::FrameReader`] reassembling request frames on the read
-//! side, a bounded outbound byte queue absorbing partial writes on the
-//! write side. Nothing on the loop ever blocks: accepts, reads, and
-//! writes all run nonblocking, so one slow client costs itself latency,
-//! never anyone else's. A client that stops reading while replies pile
-//! up hits the queue cap and is disconnected with a typed error — the
-//! backpressure answer that keeps the loop's memory bounded.
+//! side, one output buffer on the write side that replies are printed
+//! into and that goes to the socket in one `write` per flush. Nothing on
+//! the loop ever blocks: accepts, reads, and writes all run nonblocking,
+//! so one slow client costs itself latency, never anyone else's. A client
+//! that stops reading while replies pile up hits the buffer's cap and is
+//! disconnected with a typed error — the backpressure answer that keeps
+//! the loop's memory bounded. A listener whose accepts fail for want of
+//! file descriptors leaves the poll set until a connection closes or a
+//! heartbeat passes, so a full backlog cannot spin the loop.
 //!
 //! The daemon is **multi-tenant**: an `ArtifactRegistry`
 //! maps benchmark name → tenant, each tenant owning a primary
@@ -48,7 +51,6 @@ use intune_obs::{
 use intune_serve::{ModelArtifact, ServeOptions, TraceSink, VectorService, ARTIFACT_VERSION};
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -88,9 +90,14 @@ const CONN_BASE: usize = 3;
 /// Events delivered per poll call; level triggering makes the cap a
 /// latency knob, never a lost wakeup.
 const EVENTS_PER_POLL: usize = 256;
-/// Poll heartbeat: an idle loop wakes this often, bounding how stale any
-/// non-event state (none today) could get. Cheap — one `poll(2)` return.
+/// Poll heartbeat: an idle loop wakes this often, bounding how long a
+/// listener paused for want of file descriptors stays out of the poll
+/// set. Cheap — one `poll(2)` return.
 const POLL_HEARTBEAT: Duration = Duration::from_millis(500);
+/// `ENFILE` and `EMFILE`: accepts failing because the system or this
+/// process is out of file descriptors (the same numbers on Linux, the
+/// BSDs and macOS).
+const OUT_OF_FDS: [i32; 2] = [23, 24];
 /// Budget for pushing the `ShuttingDown` reply to the requesting client
 /// at exit (the one place the loop deliberately blocks).
 const SHUTDOWN_FLUSH_TIMEOUT: Duration = Duration::from_secs(1);
@@ -116,8 +123,8 @@ pub struct DaemonOptions {
     /// handler. Off by default; only the crash-containment tests turn it
     /// on. A production daemon answers the request with a typed refusal.
     pub inject_faults: bool,
-    /// Cap on bytes queued toward one connection's peer. A reply that
-    /// would push the queue past this gets replaced by a typed error and
+    /// Cap on unsent bytes buffered toward one connection's peer. A reply
+    /// that would push them past this gets replaced by a typed error and
     /// the slow reader is disconnected — backpressure instead of
     /// unbounded buffering.
     pub max_outbound_bytes: usize,
@@ -201,6 +208,8 @@ impl Default for ListenConfig {
 /// optional lifecycle event log. All recording is wait-free; rendering
 /// snapshots walks the buckets without stopping writers.
 struct DaemonObs {
+    /// Socket reads: one `fill` of a connection's frame reader each.
+    read: Histogram,
     /// Frame decode: checksum + payload parse into a `Request`.
     decode: Histogram,
     /// Request handling (selection or lifecycle work).
@@ -209,9 +218,9 @@ struct DaemonObs {
     log_append: Histogram,
     /// Inside `select`: the shadow mirror.
     mirror: Histogram,
-    /// Reply encode: serialization + frame assembly.
+    /// Reply encode: printing + framing into the output buffer.
     encode: Histogram,
-    /// Draining a connection's outbox to its socket.
+    /// Flushing a connection's output buffer to its socket.
     queued_write: Histogram,
     /// The lifecycle event log, if one is attached.
     events: Option<Arc<EventLog>>,
@@ -228,6 +237,7 @@ struct DaemonObs {
 impl DaemonObs {
     fn new(events: Option<Arc<EventLog>>, spans: Option<Arc<SpanLog>>, trace_sample: u64) -> Self {
         DaemonObs {
+            read: Histogram::new(),
             decode: Histogram::new(),
             select: Histogram::new(),
             log_append: Histogram::new(),
@@ -449,22 +459,44 @@ impl Daemon {
         let mut http = HttpSlab::default();
         let mut stop = false;
         let mut requester: Option<usize> = None;
+        let mut paused = Paused::default();
+        // Whether a connection closed last round, freeing a descriptor.
+        let mut freed = false;
         while !stop {
+            paused.resume_if(freed, &poll);
             poll.poll(&mut events, Some(POLL_HEARTBEAT))
                 .map_err(|e| Error::wire(format!("poll failed: {e}")))?;
+            freed = false;
             for event in &events {
                 match event.token() {
                     TCP_LISTENER => {
-                        accept_tcp(&tcp, &poll, &mut conns, &shared);
+                        let admit = |stream: TcpStream| {
+                            // One whole frame per write and the peer
+                            // blocks on it: Nagle buys nothing here and
+                            // its delayed-ACK interaction costs ~40 ms per
+                            // request/response round trip on loopback.
+                            stream.set_nodelay(true).ok();
+                            conns.admit(Transport::Tcp(stream), &poll, &shared);
+                        };
+                        if !accept_all(|| tcp.accept().map(|(s, _)| s), admit) {
+                            paused.pause(tcp_fd, TCP_LISTENER, &poll);
+                        }
                     }
                     UDS_LISTENER => {
-                        if let Some(listener) = &uds {
-                            accept_uds(listener, &poll, &mut conns, &shared);
+                        if let (Some(listener), Some(fd)) = (&uds, uds_fd) {
+                            let admit =
+                                |stream| conns.admit(Transport::Unix(stream), &poll, &shared);
+                            if !accept_all(|| listener.accept().map(|(s, _)| s), admit) {
+                                paused.pause(fd, UDS_LISTENER, &poll);
+                            }
                         }
                     }
                     METRICS_LISTENER => {
-                        if let Some(listener) = &metrics {
-                            accept_metrics(listener, &poll, &mut http);
+                        if let (Some(listener), Some(fd)) = (&metrics, metrics_fd) {
+                            let admit = |stream| http.admit(stream, &poll);
+                            if !accept_all(|| listener.accept().map(|(s, _)| s), admit) {
+                                paused.pause(fd, METRICS_LISTENER, &poll);
+                            }
                         }
                     }
                     Token(t) if (t - CONN_BASE) % 2 == 1 => {
@@ -487,7 +519,10 @@ impl Daemon {
                                     }
                                 }
                             }
-                            Verdict::Drop => http.close(&poll, idx),
+                            Verdict::Drop => {
+                                http.close(&poll, idx);
+                                freed = true;
+                            }
                         }
                     }
                     Token(t) => {
@@ -499,7 +534,8 @@ impl Daemon {
                             continue;
                         };
                         let shutdown_seen = stop;
-                        match service(conn, *event, &shared, &mut stop) {
+                        let (readable, writable) = (event.is_readable(), event.is_writable());
+                        match service(conn, readable, writable, &shared, &mut stop) {
                             Verdict::Keep => {
                                 let want = conn.desired_interest();
                                 if want != conn.registered {
@@ -513,7 +549,10 @@ impl Daemon {
                                     }
                                 }
                             }
-                            Verdict::Drop => conns.close(&poll, idx),
+                            Verdict::Drop => {
+                                conns.close(&poll, idx);
+                                freed = true;
+                            }
                         }
                         if stop && !shutdown_seen {
                             requester = Some(idx);
@@ -575,46 +614,55 @@ impl Daemon {
     }
 }
 
-/// Accepts every pending TCP connection (the listener is level
-/// triggered: drain until `WouldBlock`).
-fn accept_tcp(listener: &TcpListener, poll: &Poll, conns: &mut Slab, shared: &Shared) {
+/// Accepts every pending connection of a level-triggered listener,
+/// handing each to `admit`, until the listener would block. Returns
+/// `false` when an accept failed for want of file descriptors: the
+/// connection stays in the backlog, so the listener stays readable and
+/// the caller must stop polling it (see [`Paused`]). Any other failure
+/// ends this round, and the next poll retries.
+fn accept_all<S>(mut accept: impl FnMut() -> std::io::Result<S>, mut admit: impl FnMut(S)) -> bool {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // One whole frame per write and the peer blocks on it:
-                // Nagle buys nothing here and its delayed-ACK interaction
-                // costs ~40 ms per request/response round trip on
-                // loopback.
-                stream.set_nodelay(true).ok();
-                conns.admit(Transport::Tcp(stream), poll, shared);
+        match accept() {
+            Ok(stream) => admit(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return !e.raw_os_error().is_some_and(|n| OUT_OF_FDS.contains(&n)),
+        }
+    }
+}
+
+/// Listeners taken out of the poll set because accepting failed for want
+/// of file descriptors. `poll(2)` is level-triggered, so a listener with
+/// a connection waiting in its backlog would make every poll return at
+/// once, and every accept would fail again: a core spent spinning. A
+/// paused listener returns when a connection closes (freeing a
+/// descriptor) or after a heartbeat.
+#[derive(Default)]
+struct Paused {
+    listeners: Vec<(RawFd, Token)>,
+    since: Option<Instant>,
+}
+
+impl Paused {
+    fn pause(&mut self, fd: RawFd, token: Token, poll: &Poll) {
+        if poll.registry().deregister(&mut SourceFd(&fd)).is_ok() {
+            self.listeners.push((fd, token));
+            self.since.get_or_insert_with(Instant::now);
+        }
+    }
+
+    /// Returns every paused listener to the poll set when `now` holds or
+    /// a heartbeat has passed since the first was paused.
+    fn resume_if(&mut self, now: bool, poll: &Poll) {
+        let Some(since) = self.since else {
+            return;
+        };
+        if now || since.elapsed() >= POLL_HEARTBEAT {
+            for (fd, token) in self.listeners.drain(..) {
+                let _ = poll
+                    .registry()
+                    .register(&mut SourceFd(&fd), token, Interest::READABLE);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            // A transient accept failure (e.g. fd exhaustion): give up
-            // this readiness round; the next poll retries without
-            // busy-spinning a core.
-            Err(_) => break,
-        }
-    }
-}
-
-/// Accepts every pending Unix-domain connection.
-fn accept_uds(listener: &UnixListener, poll: &Poll, conns: &mut Slab, shared: &Shared) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => conns.admit(Transport::Unix(stream), poll, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(_) => break,
-        }
-    }
-}
-
-/// Accepts every pending metrics (HTTP) connection.
-fn accept_metrics(listener: &TcpListener, poll: &Poll, http: &mut HttpSlab) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => http.admit(stream, poll),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(_) => break,
+            self.since = None;
         }
     }
 }
@@ -909,10 +957,18 @@ impl Transport {
             }
         }
     }
+}
 
+/// What a connection reads requests from and writes replies to: a
+/// [`Transport`], or a test's in-memory peer.
+trait Stream: Read + Write {
     /// Half-closes the write side: the peer sees EOF after draining our
-    /// queued bytes, while we can keep reading (the lingering close that
-    /// lets an error frame outrun the disconnect).
+    /// buffered bytes, while we can keep reading (the lingering close
+    /// that lets an error frame outrun the disconnect).
+    fn shutdown_write(&self);
+}
+
+impl Stream for Transport {
     fn shutdown_write(&self) {
         match self {
             Transport::Tcp(s) => {
@@ -951,17 +1007,16 @@ impl Write for Transport {
 }
 
 /// One connection's state machine.
-struct Conn {
-    transport: Transport,
+struct Conn<S = Transport> {
+    transport: S,
     /// Persistent frame reassembly buffer — request payloads land in one
     /// reused allocation for the connection's whole life.
     reader: protocol::FrameReader,
-    /// Encoded reply frames not yet accepted by the socket; a partial
-    /// write leaves `outbox_head` bytes of the front frame consumed.
-    outbox: VecDeque<Vec<u8>>,
-    outbox_head: usize,
-    /// Unsent bytes across the whole outbox (the backpressure measure).
-    outbox_bytes: usize,
+    /// Reply frames, printed in place back to back; the socket has
+    /// accepted the first `sent` bytes. A flush writes all the rest in
+    /// one call.
+    out: Vec<u8>,
+    sent: usize,
     /// The tenant this connection is bound to (`Hello`, or lazily the
     /// sole tenant for wire/2 clients that skip `Hello`).
     tenant: Option<Arc<Tenant>>,
@@ -975,11 +1030,11 @@ struct Conn {
     /// Write side is shut; draining peer bytes until EOF completes the
     /// lingering close.
     lingering: bool,
-    /// Peer sent EOF; serve out the outbox, then drop.
+    /// Peer sent EOF; send what is buffered, then drop.
     peer_eof: bool,
     /// `(trace_id, server_span)` of the most recent sampled request
-    /// whose reply is still in the outbox: the next flush is attributed
-    /// to it as a `stage.queued_write` span, then the slot clears.
+    /// whose reply is still unsent: the next flush is attributed to it
+    /// as a `stage.queued_write` span, then the slot clears.
     pending_write_trace: Option<(u64, u64)>,
 }
 
@@ -997,14 +1052,13 @@ enum Pump {
     DropNow,
 }
 
-impl Conn {
-    fn new(transport: Transport, id: u64) -> Self {
+impl<S: Stream> Conn<S> {
+    fn new(transport: S, id: u64) -> Self {
         Conn {
             transport,
             reader: protocol::FrameReader::new(),
-            outbox: VecDeque::new(),
-            outbox_head: 0,
-            outbox_bytes: 0,
+            out: Vec::new(),
+            sent: 0,
             tenant: None,
             id,
             registered: Interest::READABLE,
@@ -1015,9 +1069,15 @@ impl Conn {
         }
     }
 
+    /// Bytes buffered toward the peer and not yet accepted by the socket
+    /// (the backpressure measure).
+    fn unsent(&self) -> usize {
+        self.out.len() - self.sent
+    }
+
     /// The interest matching this connection's state: readers want
-    /// readable, a non-empty outbox wants writable, a closing connection
-    /// only flushes, a lingering one only drains.
+    /// readable, unsent bytes want writable, a closing connection only
+    /// flushes, a lingering one only drains.
     fn desired_interest(&self) -> Interest {
         if self.lingering {
             return Interest::READABLE;
@@ -1025,100 +1085,90 @@ impl Conn {
         if self.closing || self.peer_eof {
             return Interest::WRITABLE;
         }
-        if self.outbox.is_empty() {
+        if self.unsent() == 0 {
             Interest::READABLE
         } else {
             Interest::READABLE | Interest::WRITABLE
         }
     }
 
-    fn push(&mut self, frame: Vec<u8>) {
-        self.outbox_bytes += frame.len();
-        self.outbox.push_back(frame);
+    /// Frames a reply into the output buffer in the wire version of the
+    /// request at hand, so every client reads its replies in the version
+    /// it speaks. A `Selections` reply is printed in place.
+    fn frame(&mut self, response: &Response) -> Result<()> {
+        protocol::frame_response_into(self.reader.version(), response, &mut self.out)
     }
 
-    /// Frames a reply in the wire version of the request at hand, so
-    /// every client reads its replies in the version it speaks.
-    fn frame(&self, response: &Response) -> Result<Vec<u8>> {
-        protocol::encode_frame_in(self.reader.version(), &protocol::encode_message(response))
-    }
-
-    /// Queues a reply, enforcing the outbound cap: a reply that would
-    /// overflow it is replaced by a typed error and the connection
-    /// enters its closing sequence — the slow reader gets told why.
-    /// Encode time (serialization + frame assembly) lands in the
-    /// `encode` stage histogram and is returned so a traced request can
-    /// also attribute it to its `stage.encode` span.
+    /// Buffers a reply, enforcing the outbound cap on unsent bytes: a
+    /// reply that would push them past it is cut back out of the buffer
+    /// and replaced by a typed error, and the connection enters its
+    /// closing sequence — the slow reader gets told why. Encode time
+    /// (printing + framing) lands in the `encode` stage histogram and is
+    /// returned so a traced request can also attribute it to its
+    /// `stage.encode` span.
     fn queue(&mut self, response: &Response, shared: &Shared) -> u64 {
         let cap = shared.opts.max_outbound_bytes;
         if self.closing {
             return 0;
         }
+        let (start, unsent) = (self.out.len(), self.unsent());
         let encode_start = Instant::now();
-        let frame = match self.frame(response) {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.fail(e.to_string());
-                return 0;
-            }
-        };
+        if let Err(e) = self.frame(response) {
+            self.fail(e.to_string());
+            return 0;
+        }
         let encode_ns = elapsed_ns(encode_start);
         shared.obs.encode.record(encode_ns);
-        if self.outbox_bytes + frame.len() > cap {
+        if self.unsent() > cap {
+            self.out.truncate(start);
             self.fail(format!(
-                "outbound queue overflow: {} bytes already queued toward a reader \
-                 that is not draining them (cap {cap}); disconnecting",
-                self.outbox_bytes
+                "outbound queue overflow: {unsent} bytes already queued toward a reader \
+                 that is not draining them (cap {cap}); disconnecting"
             ));
-            return encode_ns;
         }
-        self.push(frame);
         encode_ns
     }
 
-    /// Queues a typed error and starts the closing sequence: no more
-    /// reads, flush the outbox, half-close, linger until the peer is
+    /// Buffers a typed error and starts the closing sequence: no more
+    /// reads, flush the buffer, half-close, linger until the peer is
     /// gone. The error frame itself bypasses the cap — it *is* the
     /// disconnect notice.
     fn fail(&mut self, detail: String) {
         if self.closing {
             return;
         }
-        if let Ok(frame) = self.frame(&Response::Error { detail }) {
-            self.push(frame);
-        }
+        let _ = self.frame(&Response::Error { detail });
         self.closing = true;
     }
 
-    /// Writes queued frames until the socket stops accepting bytes.
+    /// Writes the unsent bytes, all of them in one call, looping only on
+    /// a partial write, until they are gone or the socket stops accepting
+    /// bytes. A drained buffer keeps at most [`protocol::READ_CHUNK_BYTES`]
+    /// of capacity, so an idle connection does not pin a burst; one left
+    /// with more sent than unsent bytes drops the sent ones.
     ///
     /// # Errors
     /// A transport failure; the connection is unusable.
     fn flush(&mut self) -> std::io::Result<()> {
-        loop {
-            let front_len = match self.outbox.front() {
-                None => return Ok(()),
-                Some(front) => front.len(),
-            };
-            let wrote = {
-                let front = self.outbox.front().expect("front checked above");
-                self.transport.write(&front[self.outbox_head..])
-            };
-            match wrote {
+        while self.unsent() > 0 {
+            match self.transport.write(&self.out[self.sent..]) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.outbox_head += n;
-                    self.outbox_bytes -= n;
-                    if self.outbox_head == front_len {
-                        self.outbox.pop_front();
-                        self.outbox_head = 0;
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if self.sent >= self.unsent() {
+                        self.out.drain(..self.sent);
+                        self.sent = 0;
                     }
+                    return Ok(());
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        self.out.clear();
+        self.out.shrink_to(protocol::READ_CHUNK_BYTES);
+        self.sent = 0;
+        Ok(())
     }
 
     /// Reads and discards whatever the peer has sent, without blocking —
@@ -1140,29 +1190,36 @@ impl Conn {
 }
 
 /// Services one readiness event on one connection.
-fn service(conn: &mut Conn, event: mio::Event, shared: &Shared, stop: &mut bool) -> Verdict {
-    // Writes first: draining the outbox both frees backpressure budget
+fn service<S: Stream>(
+    conn: &mut Conn<S>,
+    readable: bool,
+    writable: bool,
+    shared: &Shared,
+    stop: &mut bool,
+) -> Verdict {
+    // Writes first: draining the buffer both frees backpressure budget
     // and makes room for replies to the requests read below.
-    if event.is_writable() && !conn.outbox.is_empty() && timed_flush(conn, shared).is_err() {
+    if writable && conn.unsent() > 0 && timed_flush(conn, shared).is_err() {
         return Verdict::Drop;
     }
     if conn.lingering {
-        if event.is_readable() && conn.discard_pending_input() {
+        if readable && conn.discard_pending_input() {
             return Verdict::Drop;
         }
         return Verdict::Keep;
     }
-    if event.is_readable() && !conn.closing && !conn.peer_eof {
+    if readable && !conn.closing && !conn.peer_eof {
         if let Pump::DropNow = pump(conn, shared, stop) {
             return Verdict::Drop;
         }
     }
-    // Opportunistic flush: most replies leave in the same loop iteration
-    // that produced them, without waiting for a writability event.
-    if !conn.outbox.is_empty() && timed_flush(conn, shared).is_err() {
+    // Opportunistic flush: the replies to every frame this event read
+    // leave together, in one write, without waiting for a writability
+    // event.
+    if conn.unsent() > 0 && timed_flush(conn, shared).is_err() {
         return Verdict::Drop;
     }
-    if conn.outbox.is_empty() {
+    if conn.unsent() == 0 {
         if conn.peer_eof {
             return Verdict::Drop;
         }
@@ -1174,11 +1231,11 @@ fn service(conn: &mut Conn, event: mio::Event, shared: &Shared, stop: &mut bool)
     Verdict::Keep
 }
 
-/// Drains a connection's outbox, recording the time in the
+/// Flushes a connection's output buffer, recording the time in the
 /// `queued_write` stage histogram — and, when a sampled request's reply
-/// is among the queued frames, as that trace's `stage.queued_write`
+/// is among the buffered frames, as that trace's `stage.queued_write`
 /// span.
-fn timed_flush(conn: &mut Conn, shared: &Shared) -> std::io::Result<()> {
+fn timed_flush<S: Stream>(conn: &mut Conn<S>, shared: &Shared) -> std::io::Result<()> {
     let flush_start = Instant::now();
     let result = conn.flush();
     let flush_ns = elapsed_ns(flush_start);
@@ -1205,7 +1262,7 @@ fn timed_flush(conn: &mut Conn, shared: &Shared) -> std::io::Result<()> {
 /// appears. Frame-level violations (bad version, checksum, shape) queue
 /// a typed error and start the closing sequence; request-level failures
 /// are ordinary typed replies and the connection lives on.
-fn pump(conn: &mut Conn, shared: &Shared, stop: &mut bool) -> Pump {
+fn pump<S: Stream>(conn: &mut Conn<S>, shared: &Shared, stop: &mut bool) -> Pump {
     loop {
         // Serve every frame already buffered (one fill can deliver many
         // pipelined requests).
@@ -1319,7 +1376,10 @@ fn pump(conn: &mut Conn, shared: &Shared, stop: &mut bool) -> Pump {
                 return Pump::Continue;
             }
         }
-        match conn.reader.fill(&mut conn.transport) {
+        let read_start = Instant::now();
+        let filled = conn.reader.fill(&mut conn.transport);
+        shared.obs.read.record(elapsed_ns(read_start));
+        match filled {
             Ok(Fill::Bytes(_)) => {}
             Ok(Fill::WouldBlock) => return Pump::Continue,
             Ok(Fill::Closed) => {
@@ -1796,6 +1856,7 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     let summarize = |h: &Histogram| LatencySummary::of(&h.snapshot());
     MetricsSnapshot {
         stages: StageTimings {
+            read: summarize(&shared.obs.read),
             decode: summarize(&shared.obs.decode),
             select: summarize(&shared.obs.select),
             log_append: summarize(&shared.obs.log_append),
@@ -1887,6 +1948,7 @@ fn render_metrics_text(shared: &Shared) -> String {
         );
     }
     for (stage, histogram) in [
+        ("read", &shared.obs.read),
         ("decode", &shared.obs.decode),
         ("select", &shared.obs.select),
         ("log_append", &shared.obs.log_append),
@@ -1914,4 +1976,238 @@ fn render_metrics_text(shared: &Shared) -> String {
     }
     expo.gauge("intune_tenants", &[], shared.registry.len() as f64);
     expo.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{artifact, vector};
+    use std::cell::Cell;
+    use std::collections::VecDeque;
+
+    /// An in-memory peer. Reads hand over the queued request chunks one
+    /// per call, would-block when none is queued, and end the stream once
+    /// `eof` is set; writes take at most `per_write` bytes of the
+    /// `budget` the test grants, then would-block.
+    struct Trickle {
+        input: VecDeque<Vec<u8>>,
+        eof: bool,
+        output: Vec<u8>,
+        per_write: usize,
+        budget: usize,
+        shut: Cell<bool>,
+    }
+
+    impl Trickle {
+        fn new(per_write: usize) -> Self {
+            Trickle {
+                input: VecDeque::new(),
+                eof: false,
+                output: Vec::new(),
+                per_write,
+                budget: 0,
+                shut: Cell::new(false),
+            }
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(chunk) = self.input.front_mut() else {
+                return match self.eof {
+                    true => Ok(0),
+                    false => Err(std::io::ErrorKind::WouldBlock.into()),
+                };
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.input.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.per_write).min(self.budget);
+            if n == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.output.extend_from_slice(&buf[..n]);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Stream for Trickle {
+        fn shutdown_write(&self) {
+            self.shut.set(true);
+        }
+    }
+
+    /// Serving options with the drift fallback off, so replies depend on
+    /// the requests alone.
+    fn pinned() -> ServeOptions {
+        ServeOptions {
+            drift_threshold: 1.0,
+            ..ServeOptions::default()
+        }
+    }
+
+    /// The shared state of a daemon serving the test artifact.
+    fn shared(max_outbound_bytes: usize) -> Shared {
+        let opts = DaemonOptions {
+            serve: pinned(),
+            max_outbound_bytes,
+            ..DaemonOptions::default()
+        };
+        Daemon::bind(artifact(1), opts, &ListenConfig::default())
+            .unwrap()
+            .shared
+    }
+
+    /// The reply the daemon owes each selection request, framed as the
+    /// derive encodes it.
+    fn selections_frame(version: u8, batch: &[FeatureVector]) -> Vec<u8> {
+        let service = VectorService::new(artifact(1), pinned()).unwrap();
+        let selections = service.select_vector_batch(batch).unwrap();
+        let reply = protocol::encode_message(&Response::Selections { selections });
+        protocol::encode_frame_in(version, &reply).unwrap()
+    }
+
+    fn select_frame(version: u8, batch: &[FeatureVector]) -> Vec<u8> {
+        protocol::encode_frame_in(version, &protocol::encode_select_batch(batch)).unwrap()
+    }
+
+    /// Services `conn` until it is done with everything its peer sent,
+    /// granting the peer `grant` bytes of write room per readiness event;
+    /// returns the last verdict.
+    fn serve_out(conn: &mut Conn<Trickle>, shared: &Shared, grant: usize) -> Verdict {
+        let mut stop = false;
+        for _ in 0..1_000_000 {
+            conn.transport.budget += grant;
+            let verdict = service(conn, true, true, shared, &mut stop);
+            let done = conn.transport.input.is_empty() && conn.unsent() == 0;
+            if matches!(verdict, Verdict::Drop) || done {
+                return verdict;
+            }
+        }
+        panic!("the connection never finished");
+    }
+
+    #[test]
+    fn a_pipelined_burst_through_few_byte_writes_keeps_every_reply_and_its_order() {
+        let shared = shared(DEFAULT_MAX_OUTBOUND_BYTES);
+        let mut conn = Conn::new(Trickle::new(7), 0);
+        let hello = Request::Hello {
+            client: "trickle".into(),
+            benchmark: String::new(),
+        };
+        let mut wire = protocol::encode_frame(&protocol::encode_message(&hello)).unwrap();
+        let mut expected = protocol::encode_frame(&protocol::encode_message(&Response::HelloAck {
+            server: SERVER_NAME.to_string(),
+            benchmark: "daemon-test".to_string(),
+            revision: 1,
+            artifact_version: ARTIFACT_VERSION,
+            landmarks: 2,
+        }))
+        .unwrap();
+        // Batches of 1 to 64 vectors in both wire versions, each reply
+        // printed in place, a refusal between them, and in all more than
+        // one READ_CHUNK_BYTES of replies.
+        for i in 0..48usize {
+            let version = [2, 3][i % 2];
+            let batch: Vec<FeatureVector> = (0..[1, 8, 64, 3][i % 4])
+                .map(|k| vector((i * 7 + k) as f64 % 11.0))
+                .collect();
+            wire.extend(select_frame(version, &batch));
+            expected.extend(selections_frame(version, &batch));
+            if i == 20 {
+                let promote = protocol::encode_message(&Request::Promote);
+                wire.extend(protocol::encode_frame_in(version, &promote).unwrap());
+                let refusal = Response::Error {
+                    detail: "no shadow artifact is staged".to_string(),
+                };
+                let refusal = protocol::encode_message(&refusal);
+                expected.extend(protocol::encode_frame_in(version, &refusal).unwrap());
+            }
+        }
+        assert!(expected.len() > protocol::READ_CHUNK_BYTES);
+        // The burst arrives in uneven pieces.
+        for piece in wire.chunks(1_000) {
+            conn.transport.input.push_back(piece.to_vec());
+        }
+        assert!(matches!(
+            serve_out(&mut conn, &shared, 4_099),
+            Verdict::Keep
+        ));
+        assert_eq!(conn.transport.output.len(), expected.len());
+        assert!(conn.transport.output == expected, "replies differ");
+        assert!(
+            conn.out.capacity() <= protocol::READ_CHUNK_BYTES,
+            "a drained buffer keeps {} bytes",
+            conn.out.capacity()
+        );
+        // The peer's end of stream ends the connection once all is sent.
+        conn.transport.eof = true;
+        assert!(matches!(
+            serve_out(&mut conn, &shared, 4_099),
+            Verdict::Drop
+        ));
+    }
+
+    #[test]
+    fn the_outbound_cap_counts_unsent_bytes_across_partial_writes() {
+        let first: Vec<FeatureVector> = (0..16).map(|k| vector(k as f64)).collect();
+        let second: Vec<FeatureVector> = (0..24).map(|k| vector(k as f64 / 2.0)).collect();
+        let (reply1, reply2) = (selections_frame(3, &first), selections_frame(3, &second));
+        let granted = reply1.len() / 3;
+        // After the first reply went out in part, the cap must hold the
+        // rest of it plus the second reply: sent bytes do not count.
+        let exact = reply1.len() - granted + reply2.len();
+        for (cap, fits) in [(exact, true), (exact - 1, false)] {
+            let shared = shared(cap);
+            let mut conn = Conn::new(Trickle::new(5), 0);
+            let mut stop = false;
+            conn.transport.input.push_back(select_frame(3, &first));
+            conn.transport.budget = granted;
+            assert!(matches!(
+                service(&mut conn, true, false, &shared, &mut stop),
+                Verdict::Keep
+            ));
+            assert_eq!(conn.transport.output, reply1[..granted]);
+            assert_eq!(conn.unsent(), reply1.len() - granted);
+            conn.transport.input.push_back(select_frame(3, &second));
+            assert!(matches!(
+                service(&mut conn, true, false, &shared, &mut stop),
+                Verdict::Keep
+            ));
+            assert_eq!(conn.closing, !fits, "cap {cap}");
+            serve_out(&mut conn, &shared, 997);
+            let mut expected = reply1.clone();
+            if fits {
+                expected.extend(&reply2);
+                assert!(!conn.transport.shut.get());
+            } else {
+                // The second reply was cut back out for the typed
+                // overflow notice, which bypasses the cap; then the
+                // write side closes.
+                let detail = format!(
+                    "outbound queue overflow: {} bytes already queued toward a reader \
+                     that is not draining them (cap {cap}); disconnecting",
+                    reply1.len() - granted
+                );
+                let notice = protocol::encode_message(&Response::Error { detail });
+                expected.extend(protocol::encode_frame_in(3, &notice).unwrap());
+                assert!(conn.transport.shut.get() && conn.lingering);
+            }
+            assert!(conn.transport.output == expected, "cap {cap}");
+        }
+    }
 }
